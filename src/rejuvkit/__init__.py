@@ -17,7 +17,6 @@ from .analysis import (
     completion_time,
     metrics_report,
     mttf,
-    steady_state,
 )
 from .distributions import (
     POINT_MASS,
@@ -33,7 +32,6 @@ from .model import (
     ModelConsistencyError,
     ModelParams,
     SystemState,
-    absorbing_blocks,
     scale_time,
     sojourn_times,
     state_events,
@@ -65,7 +63,6 @@ __all__ = [
     "completion_lst_primary",
     "completion_lst_backup",
     "metrics_report",
-    "steady_state",
     "MetricsReport",
     "WorkloadSpec",
     "CompletionDivergenceError",
@@ -76,7 +73,6 @@ __all__ = [
     "KERNEL_TARGETS",
     "transition_matrix",
     "sojourn_times",
-    "absorbing_blocks",
     "state_events",
     "scale_time",
     "validate",

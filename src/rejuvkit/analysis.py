@@ -1,10 +1,18 @@
 """Analytic metrics: steady-state availability, MTTF, mean completion time.
 
-Availability weights the embedded chain's stationary vector by mean
-sojourn times.  MTTF solves expected visit counts of the absorbing
-(no-repair) variant.  Completion time solves the pair of
-Laplace-Stieltjes fixed-point equations for the two failure-attribution
-cases and extracts the mean as minus the derivative at zero.
+:func:`metrics_report` is the one assembly of the model: it builds the
+kernel and sojourn times once, weights the embedded chain's stationary
+vector by the sojourn times for availability, and solves the expected
+visit counts of the absorbing (no-repair) variant for MTTF.
+:func:`availability` and :func:`mttf` are views of it.
+
+Completion time solves the pair of Laplace-Stieltjes fixed-point
+equations for the two failure-attribution cases and extracts the mean
+as minus the derivative at zero.  :func:`completion_cases` resolves the
+two cases once per call; the transforms, both derivative routes and the
+simulator all read them.  The default route differentiates the
+assembled transform in closed form; ``method="richardson"`` (finite
+differences with one Richardson step) is kept as a cross-check.
 
 Completion-time model, per case
 -------------------------------
@@ -28,22 +36,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Distribution
-from .model import (
-    ModelConsistencyError,
-    ModelParams,
-    absorbing_blocks,
-    sojourn_times,
-    transition_matrix,
-)
+from .model import ModelConsistencyError, ModelParams, sojourn_times, transition_matrix
 from .numerics import DEFAULT_TOL, absorbing_visits, dtmc_stationary, stieltjes
 
 __all__ = [
     "WorkloadSpec",
     "MetricsReport",
     "CompletionDivergenceError",
-    "steady_state",
     "availability",
     "mttf",
+    "completion_cases",
+    "completion_lsts",
     "completion_lst_primary",
     "completion_lst_backup",
     "completion_time",
@@ -109,32 +112,42 @@ class MetricsReport:
     availability: float
     mttf: float
     completion_time: float | None
-    pi: np.ndarray
-    visits: np.ndarray
+    pi: np.ndarray  # long-run fraction of time per state
+    visits: np.ndarray  # expected visits before first failure, states 0-9
+    kernel: np.ndarray  # embedded DTMC transition matrix
+    sojourn: np.ndarray  # mean sojourn hours per state
+    stationary: np.ndarray  # stationary vector of the kernel
 
 
-def steady_state(p: ModelParams, tol: float = DEFAULT_TOL):
-    """(stationary vector, sojourn hours, time-weighted probabilities pi)."""
+def metrics_report(
+    p: ModelParams, w: WorkloadSpec | None = None, tol: float = DEFAULT_TOL
+) -> MetricsReport:
+    """All analytic metrics from one model build."""
     P = transition_matrix(p, tol)
     h = sojourn_times(p, tol)
     v = dtmc_stationary(P)
     weighted = v * h
     pi = weighted / weighted.sum()
-    return v, h, pi
+    avail = float(1.0 - pi[10] - pi[11])
+
+    # no-repair variant: the failed states absorb, execution starts in 0
+    alpha = np.zeros(10)
+    alpha[0] = 1.0
+    V = absorbing_visits(P[:10, :10], alpha)
+    life = float(V @ h[:10])
+
+    completed = completion_time(p, w, tol) if w is not None else None
+    return MetricsReport(avail, life, completed, pi, V, P, h, v)
 
 
 def availability(p: ModelParams, tol: float = DEFAULT_TOL) -> float:
     """Long-run fraction of time in the ten up states."""
-    _, _, pi = steady_state(p, tol)
-    return float(1.0 - pi[10] - pi[11])
+    return metrics_report(p, None, tol).availability
 
 
 def mttf(p: ModelParams, tol: float = DEFAULT_TOL) -> float:
     """Mean time to first failure with repair disabled."""
-    M, _, alpha = absorbing_blocks(p, tol)
-    V = absorbing_visits(M, alpha)
-    h = sojourn_times(p, tol)
-    return float(V @ h[:10])
+    return metrics_report(p, None, tol).mttf
 
 
 # --- completion time -------------------------------------------------------
@@ -157,7 +170,8 @@ class _Case:
         return self.tau + self.delta
 
 
-def _resolve(p: ModelParams, w: WorkloadSpec):
+def completion_cases(p: ModelParams, w: WorkloadSpec) -> tuple[_Case, _Case]:
+    """The (primary, backup) cases of ``w`` under ``p``, validated."""
     p.require_valid()
     w.require_valid()
     x1 = w.x / 2.0 if w.x1 is None else w.x1
@@ -254,11 +268,10 @@ def _ab_derivative(case: _Case, tol: float, cache: dict):
     return A0, B0, dA, dB
 
 
-def _solve_pair(p: ModelParams, w: WorkloadSpec, s: float, tol: float, cache: dict):
+def _solve_pair(cases, w: WorkloadSpec, s: float, tol: float, cache: dict):
     """Joint solve of the two case transforms at one point s."""
-    primary, backup = _resolve(p, w)
-    A1, B1 = _ab(primary, s, tol, cache)
-    A2, B2 = _ab(backup, s, tol, cache)
+    A1, B1 = _ab(cases[0], s, tol, cache)
+    A2, B2 = _ab(cases[1], s, tol, cache)
     if B1 >= 1.0 or (not w.backup_restart_via_primary and B2 >= 1.0):
         raise CompletionDivergenceError(
             f"restart mass B(s={s}) >= 1: the execution never completes under "
@@ -272,50 +285,34 @@ def _solve_pair(p: ModelParams, w: WorkloadSpec, s: float, tol: float, cache: di
     return float(phi[0]), float(phi[1])
 
 
+def completion_lsts(
+    p: ModelParams, w: WorkloadSpec, s: float, tol: float = DEFAULT_TOL
+) -> tuple[float, float]:
+    """Transforms of the (primary, backup) completion times at s >= 0."""
+    return _solve_pair(completion_cases(p, w), w, s, tol, {})
+
+
 def completion_lst_primary(
     p: ModelParams, w: WorkloadSpec, s: float, tol: float = DEFAULT_TOL
 ) -> float:
     """Transform of the primary-case completion time at s >= 0."""
-    return _solve_pair(p, w, s, tol, {})[0]
+    return completion_lsts(p, w, s, tol)[0]
 
 
 def completion_lst_backup(
     p: ModelParams, w: WorkloadSpec, s: float, tol: float = DEFAULT_TOL
 ) -> float:
     """Transform of the backup-case completion time at s >= 0."""
-    return _solve_pair(p, w, s, tol, {})[1]
+    return completion_lsts(p, w, s, tol)[1]
 
 
-def _check_total_probability(phi1, phi2):
-    if abs(phi1 - 1.0) > 1e-9 or abs(phi2 - 1.0) > 1e-9:
-        raise ModelConsistencyError(
-            f"completion transforms at s=0 must equal 1, got {phi1!r}, {phi2!r}"
-        )
-
-
-def _min_lst_rate(p: ModelParams, w: WorkloadSpec) -> float:
-    """Smallest exponential phase rate among the full-line transforms used."""
-    from .distributions import Erlang, Exponential, Hypoexponential
-
-    primary, backup = _resolve(p, w)
-    rates = []
-    for d in (primary.aging, primary.overhead, backup.aging, backup.overhead):
-        if isinstance(d, Exponential):
-            rates.append(d.rate)
-        elif isinstance(d, Erlang):
-            rates.append(d.rate)
-        elif isinstance(d, Hypoexponential):
-            rates.append(min(d.rate1, d.rate2))
-    return min(rates) if rates else math.inf
-
-
-def _mean_richardson(p, w, which, tol):
-    cache = {}
-    h0 = min(_FD_STEP, 0.4 * _min_lst_rate(p, w))
+def _mean_richardson(cases, w, which, tol, cache):
+    # the step stays well inside the nearest pole of the full-line transforms
+    pole = min(d.lst_pole for case in cases for d in (case.aging, case.overhead))
+    h0 = min(_FD_STEP, 0.4 * pole)
 
     def phi(s):
-        pair = _solve_pair(p, w, s, tol, cache)
-        return pair[which]
+        return _solve_pair(cases, w, s, tol, cache)[which]
 
     def central(h):
         return (-phi(2 * h) + 8.0 * phi(h) - 8.0 * phi(-h) + phi(-2 * h)) / (12.0 * h)
@@ -325,20 +322,13 @@ def _mean_richardson(p, w, which, tol):
     return -(16.0 * d2 - d1) / 15.0
 
 
-def _mean_analytic(p, w, tol):
-    cache = {}
-    primary, backup = _resolve(p, w)
-    A1, B1, dA1, dB1 = _ab_derivative(primary, tol, cache)
-    A2, B2, dA2, dB2 = _ab_derivative(backup, tol, cache)
-    _check_total_probability(A1 + B1, A2 + B2)
-    if B1 >= 1.0:
-        raise CompletionDivergenceError("restart mass B1(0) >= 1")
+def _mean_analytic(cases, w, tol, cache):
+    A1, B1, dA1, dB1 = _ab_derivative(cases[0], tol, cache)
+    A2, B2, dA2, dB2 = _ab_derivative(cases[1], tol, cache)
     e1 = -(dA1 + dB1) / (1.0 - B1)
     if w.backup_restart_via_primary:
         e2 = -dA2 - dB2 + B2 * e1
     else:
-        if B2 >= 1.0:
-            raise CompletionDivergenceError("restart mass B2(0) >= 1")
         e2 = -(dA2 + dB2) / (1.0 - B2)
     return e1, e2
 
@@ -347,50 +337,33 @@ def completion_time(
     p: ModelParams,
     w: WorkloadSpec,
     tol: float = DEFAULT_TOL,
-    method: str = "richardson",
+    method: str = "analytic",
 ) -> float:
     """Mean completion time: minus the transform derivative at zero.
 
-    ``method="richardson"`` (default) uses fourth-order central
-    differences with one Richardson extrapolation step;
-    ``method="analytic"`` differentiates the assembled transform in
-    closed form (used as a cross-check of the numerical route).
+    ``method="analytic"`` (default) differentiates the assembled
+    transform in closed form; ``method="richardson"`` uses fourth-order
+    central differences with one Richardson extrapolation step (a
+    numerical cross-check of the exact route).
     """
-    phi1, phi2 = _solve_pair(p, w, 0.0, tol, {})
-    _check_total_probability(phi1, phi2)
-    if method == "richardson":
-        e1 = _mean_richardson(p, w, 0, tol)
-        e2 = _mean_richardson(p, w, 1, tol)
-    elif method == "analytic":
-        e1, e2 = _mean_analytic(p, w, tol)
-    else:
+    if method not in ("analytic", "richardson"):
         raise ValueError(f"unknown method {method!r}")
+    cases = completion_cases(p, w)
+    cache = {}
+    phi1, phi2 = _solve_pair(cases, w, 0.0, tol, cache)
+    if abs(phi1 - 1.0) > 1e-9 or abs(phi2 - 1.0) > 1e-9:
+        raise ModelConsistencyError(
+            f"completion transforms at s=0 must equal 1, got {phi1!r}, {phi2!r}"
+        )
+    if method == "analytic":
+        e1, e2 = _mean_analytic(cases, w, tol, cache)
+    else:
+        e1 = _mean_richardson(cases, w, 0, tol, cache)
+        e2 = _mean_richardson(cases, w, 1, tol, cache)
     mean = w.b1 * e1 + w.b2 * e2
-    primary, backup = _resolve(p, w)
-    floor = w.b1 * primary.t0 + w.b2 * backup.t0
+    floor = w.b1 * cases[0].t0 + w.b2 * cases[1].t0
     if mean < floor - 1e-6 * max(1.0, floor):
         raise ModelConsistencyError(
             f"completion mean {mean} fell below the failure-free floor {floor}"
         )
     return float(mean)
-
-
-def metrics_report(
-    p: ModelParams, w: WorkloadSpec | None = None, tol: float = DEFAULT_TOL
-) -> MetricsReport:
-    """All analytic metrics from one model build."""
-    P = transition_matrix(p, tol)
-    h = sojourn_times(p, tol)
-    v = dtmc_stationary(P)
-    weighted = v * h
-    pi = weighted / weighted.sum()
-    avail = float(1.0 - pi[10] - pi[11])
-
-    M = P[:10, :10]
-    alpha = np.zeros(10)
-    alpha[0] = 1.0
-    V = absorbing_visits(M, alpha)
-    life = float(V @ h[:10])
-
-    completed = completion_time(p, w, tol) if w is not None else None
-    return MetricsReport(avail, life, completed, pi, V)

@@ -12,7 +12,7 @@ Samplers draw from an externally owned ``numpy.random.Generator``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 __all__ = [
     "Distribution",
@@ -25,8 +25,8 @@ __all__ = [
     "to_json",
 ]
 
-# Duration units accepted in JSON fragments, as hours per unit.
-_HOURS_PER_UNIT = {"s": 1.0 / 3600.0, "min": 1.0 / 60.0, "h": 1.0, "d": 24.0}
+# Duration units accepted in JSON fragments, as units per hour.
+_UNITS_PER_HOUR = {"s": 3600.0, "min": 60.0, "h": 1.0, "d": 1.0 / 24.0}
 
 
 class _PointMassMarker:
@@ -44,7 +44,15 @@ POINT_MASS = _PointMassMarker()
 
 
 class Distribution:
-    """Common interface: cdf/survival/density/mean/lst/sample/truncation."""
+    """Common interface: cdf/survival/density/mean/lst/sample/truncation.
+
+    Each family is a frozen dataclass whose fields are its parameters,
+    with a class-level ``kind`` naming it in JSON fragments.
+    """
+
+    kind: str
+    # lst(s) has its nearest pole at s = -lst_pole (inf: lst is entire)
+    lst_pole = math.inf
 
     def cdf(self, t: float) -> float:
         raise NotImplementedError
@@ -65,6 +73,18 @@ class Distribution:
     def lst_derivative(self, s: float) -> float:
         """d/ds E[exp(-s T)]; equals -mean at s = 0."""
         raise NotImplementedError
+
+    def _check_lst(self, s):
+        if s <= -self.lst_pole:
+            raise ValueError(f"LST diverges for s <= {-self.lst_pole} (got {s})")
+
+    def scaled(self, k: float) -> Distribution:
+        """The law in a time unit k times longer: rates x k, durations / k."""
+        raise NotImplementedError
+
+    def with_mean(self, mean: float) -> Distribution:
+        """Same family stretched in time to the given mean."""
+        return self.scaled(self.mean() / mean)
 
     def sample(self, rng, size=None):
         raise NotImplementedError
@@ -96,6 +116,7 @@ class Distribution:
 
 @dataclass(frozen=True)
 class Exponential(Distribution):
+    kind = "exp"
     rate: float  # per hour
 
     def __post_init__(self):
@@ -120,9 +141,12 @@ class Exponential(Distribution):
     def mean(self):
         return 1.0 / self.rate
 
+    @property
+    def lst_pole(self):
+        return self.rate
+
     def lst(self, s):
-        if s <= -self.rate:
-            raise ValueError(f"LST diverges for s <= -rate ({s} <= {-self.rate})")
+        self._check_lst(s)
         return self.rate / (self.rate + s)
 
     def lst_derivative(self, s):
@@ -131,12 +155,16 @@ class Exponential(Distribution):
     def sample(self, rng, size=None):
         return rng.exponential(1.0 / self.rate, size=size)
 
+    def scaled(self, k):
+        return Exponential(self.rate * k)
+
     def _truncation(self, eps):
         return -math.log(eps) / self.rate
 
 
 @dataclass(frozen=True)
 class Erlang(Distribution):
+    kind = "erlang"
     rate: float  # per hour, each phase
     shape: int
 
@@ -154,14 +182,23 @@ class Erlang(Distribution):
     def survival(self, t):
         if t <= 0.0:
             return 1.0
-        # sum_{n<k} (rate t)^n/n! * exp(-rate t), accumulated stably
+        # sum_{n<k} (rate t)^n/n! * exp(-rate t); for large shapes the
+        # partial sums are divided down before they overflow, with the
+        # logarithm of the divisor kept in `shift`
         x = self.rate * t
         term = 1.0
         acc = 1.0
+        shift = 0.0
         for n in range(1, self.shape):
             term *= x / n
             acc += term
-        return acc * math.exp(-x)
+            if acc > 1e250:
+                shift += math.log(acc)
+                term /= acc
+                acc = 1.0
+        if shift:
+            return min(1.0, math.exp(math.log(acc) + shift - x))
+        return min(1.0, acc * math.exp(-x))
 
     def density(self, t):
         if t < 0.0:
@@ -170,14 +207,18 @@ class Erlang(Distribution):
         k = self.shape
         if t == 0.0:
             return self.rate if k == 1 else 0.0
-        return self.rate * x ** (k - 1) / math.factorial(k - 1) * math.exp(-x)
+        # in log space: x**(k-1) and (k-1)! overflow for large shapes
+        return self.rate * math.exp((k - 1) * math.log(x) - x - math.lgamma(k))
 
     def mean(self):
         return self.shape / self.rate
 
+    @property
+    def lst_pole(self):
+        return self.rate
+
     def lst(self, s):
-        if s <= -self.rate:
-            raise ValueError(f"LST diverges for s <= -rate ({s} <= {-self.rate})")
+        self._check_lst(s)
         return (self.rate / (self.rate + s)) ** self.shape
 
     def lst_derivative(self, s):
@@ -190,16 +231,22 @@ class Erlang(Distribution):
         draws = rng.exponential(1.0 / self.rate, size=(size, self.shape))
         return draws.sum(axis=1)
 
+    def scaled(self, k):
+        return Erlang(self.rate * k, self.shape)
+
 
 @dataclass(frozen=True)
 class Hypoexponential(Distribution):
-    """Two sequential exponential phases with distinct rates.
+    """Two sequential exponential phases; the rates may be equal.
 
-    The equal-rate limit degenerates to an Erlang of shape 2; evaluation
-    switches to the Erlang formulas when the rates are numerically equal
-    to dodge the 0/0 in the two-phase closed forms.
+    With a <= b the rates in ascending order and
+    g = expm1(-(b - a) t) / (b - a) (g = -t when a == b), the survival is
+    e^{-at} (1 - a g) and the density -a b e^{-at} g.  These forms have no
+    cancellation, so nearly equal rates lose no precision and equal rates
+    give the Erlang-2 law.
     """
 
+    kind = "hypoexp"
     rate1: float
     rate2: float
 
@@ -208,10 +255,11 @@ class Hypoexponential(Distribution):
             if not (r > 0.0 and math.isfinite(r)):
                 raise ValueError(f"hypoexponential rates must be positive, got {r}")
 
-    def _as_erlang(self):
-        if abs(self.rate1 - self.rate2) <= 1e-9 * max(self.rate1, self.rate2):
-            return Erlang(0.5 * (self.rate1 + self.rate2), 2)
-        return None
+    def _decay(self, t):
+        """(a, b, e^{-at}, g) for t > 0."""
+        a, b = sorted((self.rate1, self.rate2))
+        g = math.expm1(-(b - a) * t) / (b - a) if b > a else -t
+        return a, b, math.exp(-a * t), g
 
     def cdf(self, t):
         if t <= 0.0:
@@ -221,28 +269,24 @@ class Hypoexponential(Distribution):
     def survival(self, t):
         if t <= 0.0:
             return 1.0
-        erl = self._as_erlang()
-        if erl is not None:
-            return erl.survival(t)
-        a, b = self.rate1, self.rate2
-        return (b * math.exp(-a * t) - a * math.exp(-b * t)) / (b - a)
+        a, _, ea, g = self._decay(t)
+        return ea * (1.0 - a * g)
 
     def density(self, t):
-        if t < 0.0:
+        if t <= 0.0:
             return 0.0
-        erl = self._as_erlang()
-        if erl is not None:
-            return erl.density(t)
-        a, b = self.rate1, self.rate2
-        return a * b / (b - a) * (math.exp(-a * t) - math.exp(-b * t))
+        a, b, ea, g = self._decay(t)
+        return -a * b * ea * g
 
     def mean(self):
         return 1.0 / self.rate1 + 1.0 / self.rate2
 
+    @property
+    def lst_pole(self):
+        return min(self.rate1, self.rate2)
+
     def lst(self, s):
-        lo = min(self.rate1, self.rate2)
-        if s <= -lo:
-            raise ValueError(f"LST diverges for s <= -min rate ({s} <= {-lo})")
+        self._check_lst(s)
         return (self.rate1 / (self.rate1 + s)) * (self.rate2 / (self.rate2 + s))
 
     def lst_derivative(self, s):
@@ -257,11 +301,15 @@ class Hypoexponential(Distribution):
             1.0 / self.rate2, size=size
         )
 
+    def scaled(self, k):
+        return Hypoexponential(self.rate1 * k, self.rate2 * k)
+
 
 @dataclass(frozen=True)
 class Deterministic(Distribution):
     """Point mass at ``offset``: CDF is the unit step u(t - offset)."""
 
+    kind = "det"
     offset: float  # hours
 
     def __post_init__(self):
@@ -293,8 +341,15 @@ class Deterministic(Distribution):
     def _truncation(self, eps):
         return self.offset
 
+    def scaled(self, k):
+        return Deterministic(self.offset / k)
 
-_KINDS = {"exp": Exponential, "erlang": Erlang, "hypoexp": Hypoexponential, "det": Deterministic}
+    def with_mean(self, mean):
+        # exact, and defined for a zero offset, which has no time scale
+        return Deterministic(mean)
+
+
+_KINDS = {cls.kind: cls for cls in (Exponential, Erlang, Hypoexponential, Deterministic)}
 
 
 def from_json(fragment: dict) -> Distribution:
@@ -311,36 +366,21 @@ def from_json(fragment: dict) -> Distribution:
     if kind not in _KINDS:
         raise ValueError(f"unknown distribution kind {kind!r} (expected one of {sorted(_KINDS)})")
     unit = frag.pop("unit", "h")
-    if unit not in _HOURS_PER_UNIT:
-        raise ValueError(f"unknown unit {unit!r} (expected one of {sorted(_HOURS_PER_UNIT)})")
-    hpu = _HOURS_PER_UNIT[unit]
-
-    def need(key, convert):
-        if key not in frag:
-            raise ValueError(f"distribution kind {kind!r} requires field {key!r}")
-        return convert(frag.pop(key))
-
-    if kind == "exp":
-        dist = Exponential(rate=need("rate", float) / hpu)
-    elif kind == "erlang":
-        dist = Erlang(rate=need("rate", float) / hpu, shape=need("shape", int))
-    elif kind == "hypoexp":
-        dist = Hypoexponential(rate1=need("rate1", float) / hpu, rate2=need("rate2", float) / hpu)
-    else:
-        dist = Deterministic(offset=need("offset", float) * hpu)
+    if unit not in _UNITS_PER_HOUR:
+        raise ValueError(f"unknown unit {unit!r} (expected one of {sorted(_UNITS_PER_HOUR)})")
+    params = {}
+    for f in fields(_KINDS[kind]):
+        if f.name not in frag:
+            raise ValueError(f"distribution kind {kind!r} requires field {f.name!r}")
+        params[f.name] = (int if f.type in ("int", int) else float)(frag.pop(f.name))
     if frag:
         raise ValueError(f"unknown fields {sorted(frag)} in distribution fragment")
-    return dist
+    # parameters given per unit: normalising to hours is a change of time unit
+    return _KINDS[kind](**params).scaled(_UNITS_PER_HOUR[unit])
 
 
 def to_json(dist: Distribution) -> dict:
     """Inverse of :func:`from_json`, always emitting hours."""
-    if isinstance(dist, Exponential):
-        return {"kind": "exp", "rate": dist.rate, "unit": "h"}
-    if isinstance(dist, Erlang):
-        return {"kind": "erlang", "rate": dist.rate, "shape": dist.shape, "unit": "h"}
-    if isinstance(dist, Hypoexponential):
-        return {"kind": "hypoexp", "rate1": dist.rate1, "rate2": dist.rate2, "unit": "h"}
-    if isinstance(dist, Deterministic):
-        return {"kind": "det", "offset": dist.offset, "unit": "h"}
-    raise TypeError(f"not a known distribution: {dist!r}")
+    if _KINDS.get(getattr(dist, "kind", None)) is not type(dist):
+        raise TypeError(f"not a known distribution: {dist!r}")
+    return {"kind": dist.kind, **{f.name: getattr(dist, f.name) for f in fields(dist)}, "unit": "h"}

@@ -40,15 +40,12 @@ __all__ = [
     "ModelConsistencyError",
     "transition_matrix",
     "sojourn_times",
-    "absorbing_blocks",
     "state_events",
     "validate",
     "scale_time",
 ]
 
 N_STATES = 12
-PRIMARY_DOWN = 10
-BACKUP_DOWN = 11
 
 
 _CONDITION_LETTER = {
@@ -301,21 +298,6 @@ def sojourn_times(p: ModelParams, tol: float = DEFAULT_TOL) -> np.ndarray:
     return hours
 
 
-def absorbing_blocks(p: ModelParams, tol: float = DEFAULT_TOL):
-    """No-repair partition: transient block M, absorption columns, start vector.
-
-    Repair transitions out of the two failed states are removed, making
-    them absorbing; rows 0-9 of the kernel are unchanged, so [M | cT]
-    rows still sum to 1.  Execution starts in state 0.
-    """
-    P = transition_matrix(p, tol)
-    M = P[:PRIMARY_DOWN, :PRIMARY_DOWN].copy()
-    cT = P[:PRIMARY_DOWN, PRIMARY_DOWN:].copy()
-    alpha = np.zeros(PRIMARY_DOWN)
-    alpha[0] = 1.0
-    return M, cT, alpha
-
-
 def validate(p: ModelParams) -> list[str]:
     """All invariant violations (empty list = valid); never aborts early."""
     problems = []
@@ -342,23 +324,11 @@ def validate(p: ModelParams) -> list[str]:
 
 def scale_time(p: ModelParams, k: float) -> ModelParams:
     """Rescale the time unit: rates multiplied by k, durations divided by k."""
-
-    def scale_dist(d):
-        from .distributions import Erlang, Exponential, Hypoexponential
-
-        if isinstance(d, Exponential):
-            return Exponential(d.rate * k)
-        if isinstance(d, Erlang):
-            return Erlang(d.rate * k, d.shape)
-        if isinstance(d, Hypoexponential):
-            return Hypoexponential(d.rate1 * k, d.rate2 * k)
-        return Deterministic(d.offset / k)
-
     changes = {}
     for f in fields(ModelParams):
         v = getattr(p, f.name)
         if isinstance(v, Distribution):
-            changes[f.name] = scale_dist(v)
+            changes[f.name] = v.scaled(k)
         elif f.name.startswith("a") and len(f.name) == 2:
             changes[f.name] = v / k
     return replace(p, **changes)

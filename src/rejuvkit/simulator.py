@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .analysis import WorkloadSpec
+from .analysis import WorkloadSpec, completion_cases
 from .model import ModelParams, state_events
 
 __all__ = [
@@ -165,79 +165,14 @@ def simulate_mttf(p: ModelParams, c: SimConfig) -> Estimate:
     return _estimate("mttf", values, truncated)
 
 
-@dataclass(frozen=True)
-class _SimCase:
-    tau: float
-    delta: float
-    t0: float
-    pre_fail: object
-    branch_mass: tuple  # (reboot-gate, fixing-gate, remainder), unconditional
-    branch_law: tuple
-    overhead: object
-    aging: object
-
-
-def _sim_cases(p: ModelParams, w: WorkloadSpec):
-    x1 = w.x / 2.0 if w.x1 is None else w.x1
-    t1 = float(p.a4) if w.t1 is None else w.t1
-
-    def build(trig_work, rem_work, aging, pre_fail, gate_reboot, gate_fix, laws, overhead):
-        if rem_work < 0.0:
-            raise ValueError("trigger work exceeds the remaining work requirement")
-        tau = trig_work / w.r1
-        delta = rem_work / w.r2
-        m_reboot = p.c2 * gate_reboot.cdf(tau)
-        m_fix = p.c3 * gate_fix.cdf(tau)
-        m_rest = 1.0 - pre_fail.cdf(tau) - m_reboot - m_fix
-        if m_rest < -1e-12:
-            raise ValueError("negative post-trigger branch mass; infeasible workload")
-        return _SimCase(
-            tau,
-            delta,
-            tau + delta,
-            pre_fail,
-            (m_reboot, m_fix, max(m_rest, 0.0)),
-            laws,
-            overhead,
-            aging,
-        )
-
-    primary = build(
-        float(p.a1),
-        w.x - float(p.a1),
-        p.aging_primary,
-        p.fail_idle_primary,
-        p.reboot_backup,
-        p.fixing_backup,
-        (p.fail_fixing_primary, p.fail_reboot_primary, p.fail_migrating_primary),
-        w.restart_overhead_primary or p.fixing_primary,
-    )
-    backup = build(
-        t1,
-        (w.x - x1) - t1,
-        p.aging_backup,
-        p.fail_idle_backup,
-        p.reboot_primary,
-        p.fixing_primary,
-        (p.fail_fixing_backup, p.fail_reboot_backup, p.fail_migrating_backup),
-        w.restart_overhead_backup or p.fixing_backup,
-    )
-    return primary, backup
-
-
-def _attempt(case: _SimCase, rng):
-    """One execution attempt: (completed?, elapsed wall clock)."""
+def _attempt(case, rng):
+    """One execution attempt of a completion case: (completed?, elapsed wall clock)."""
     h_pre = float(case.pre_fail.sample(rng))
     if h_pre <= case.tau:
         return False, h_pre
-    total = case.branch_mass[0] + case.branch_mass[1] + case.branch_mass[2]
-    pick = rng.random() * total
-    if pick < case.branch_mass[0]:
-        law = case.branch_law[0]
-    elif pick < case.branch_mass[0] + case.branch_mass[1]:
-        law = case.branch_law[1]
-    else:
-        law = case.branch_law[2]
+    (m_reboot, reboot), (m_fix, fix), (m_rest, rest) = case.post
+    pick = rng.random() * (m_reboot + m_fix + m_rest)
+    law = reboot if pick < m_reboot else fix if pick < m_reboot + m_fix else rest
     h_post = float(law.sample(rng))
     if h_post <= case.delta:
         return False, case.tau + h_post
@@ -246,10 +181,8 @@ def _attempt(case: _SimCase, rng):
 
 def simulate_completion(p: ModelParams, w: WorkloadSpec, c: SimConfig) -> Estimate:
     """Wall-clock completion time under preemptive-repeat restarts."""
-    p.require_valid()
-    w.require_valid()
+    primary, backup = completion_cases(p, w)
     c.require_valid()
-    primary, backup = _sim_cases(p, w)
     values = []
     truncated = 0
     for rep in range(c.replications):

@@ -14,7 +14,6 @@ from rejuvkit import (
     completion_time,
     mttf,
     scale_time,
-    steady_state,
 )
 from rejuvkit.analysis import metrics_report
 from rejuvkit.ctmc import CtmcNotApplicable, availability_ctmc, mttf_ctmc
@@ -38,7 +37,7 @@ def exp_trigger_params(mean=30.0, **kw):
 
 
 def test_availability_partitions_with_pi():
-    _, _, pi = steady_state(make_params())
+    pi = metrics_report(make_params()).pi
     a = availability(make_params())
     assert a + pi[10] + pi[11] == pytest.approx(1.0, abs=1e-12)
     assert 0.0 < a < 1.0
@@ -246,3 +245,54 @@ def test_time_unit_invariance():
         assert availability(q) == pytest.approx(a0, abs=1e-10)
         assert mttf(q) * k == pytest.approx(m0, rel=1e-8)
         assert completion_time(q, wq, method="analytic") * k == pytest.approx(e0, rel=1e-8)
+
+
+# --- default route and the shared case resolver -----------------------------
+
+
+def test_default_completion_hits_fitted_anchors():
+    # the workload (x, r1) was fitted so that the exact mean is 1721 h at
+    # trigger 0 and 1696 h at trigger 100 on the F_HYPO scenario
+    from rejuvkit.config import load_config
+    from rejuvkit.toolkit import apply_variable
+
+    cfg = load_config("preset_f_hypo")
+    for trigger, anchor in ((0.0, 1721.0), (100.0, 1696.0)):
+        point = apply_variable(cfg, "trigger_interval", trigger)
+        assert completion_time(point.params, point.workload) == pytest.approx(anchor, rel=1e-6)
+
+
+def test_default_completion_is_the_analytic_route():
+    from rejuvkit.config import bundled_config_names, load_config
+
+    names = bundled_config_names()
+    assert len(names) == 11
+    for name in names:
+        cfg = load_config(name)
+        exact = completion_time(cfg.params, cfg.workload, method="analytic")
+        assert completion_time(cfg.params, cfg.workload) == exact, name
+
+
+def test_completion_cases_resolved_once_per_call(monkeypatch):
+    import rejuvkit.analysis as analysis
+    import rejuvkit.simulator as simulator
+    from rejuvkit import SimConfig, simulate_completion
+
+    calls = []
+    real = analysis.completion_cases
+
+    def counted(p, w):
+        calls.append(1)
+        return real(p, w)
+
+    monkeypatch.setattr(analysis, "completion_cases", counted)
+    monkeypatch.setattr(simulator, "completion_cases", counted)
+    p = make_params()
+    w = WorkloadSpec(x=590.6201, r1=0.566316)
+    for method in ("analytic", "richardson"):
+        calls.clear()
+        completion_time(p, w, method=method)
+        assert len(calls) == 1, method
+    calls.clear()
+    simulate_completion(p, w, SimConfig(replications=3, seed=1))
+    assert len(calls) == 1

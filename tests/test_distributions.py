@@ -1,4 +1,6 @@
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -79,6 +81,41 @@ def test_hypoexponential_density_closed_form_and_numeric():
 def test_density_point_mass_marker():
     assert Deterministic(5.0).density(5.0) is POINT_MASS
     assert Deterministic(5.0).density(0.0) is POINT_MASS
+
+
+def _hypo_reference(a, b, t):
+    """Survival and density of Hypoexponential(a, b) at t, to 60 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        a, b, t = Decimal(a), Decimal(b), Decimal(t)
+        ea, eb = (-a * t).exp(), (-b * t).exp()
+        return float((b * ea - a * eb) / (b - a)), float(a * b * (ea - eb) / (b - a))
+
+
+@pytest.mark.parametrize("a", [1.0, 0.0013674, 120.5])
+@pytest.mark.parametrize("gap", [2e-9, 1e-12, 1e-6])
+def test_hypoexponential_near_equal_rates(a, gap):
+    # the two-phase closed form cancels catastrophically as the rates meet
+    for d in (Hypoexponential(a, a * (1.0 + gap)), Hypoexponential(a * (1.0 + gap), a)):
+        for t in (1e-3 / a, 0.3 / a, 1.0 / a, 7.0 / a):
+            survival, density = _hypo_reference(d.rate1, d.rate2, t)
+            assert abs(d.survival(t) - survival) <= 1e-15
+            assert d.density(t) == pytest.approx(density, rel=1e-14)
+
+
+def test_erlang_large_shape():
+    # x**(k-1) / (k-1)! overflows a float long before the density does, and
+    # the survival's partial sums overflow long before the survival does
+    d = Erlang(1.0, 200)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        exact = Decimal(500) ** 199 / math.factorial(199) * Decimal(-500).exp()
+    assert d.density(500.0) == pytest.approx(float(exact), rel=1e-12)
+    assert d.density(200.0) > d.density(500.0) > 0.0
+    assert d.survival(2637.0) == 0.0
+    assert Erlang(200.0, 200).survival(0.1) <= 1.0
+    # regularised upper incomplete gamma Q(1000, 1000), from mpmath at 50 digits
+    assert Erlang(1.0, 1000).survival(1000.0) == pytest.approx(0.4957947558197845, rel=1e-12)
 
 
 def test_hypoexponential_equal_rates_degenerates_to_erlang():

@@ -11,12 +11,12 @@ from rejuvkit import (
     Exponential,
     Hypoexponential,
     ModelConsistencyError,
-    absorbing_blocks,
     scale_time,
     sojourn_times,
     transition_matrix,
     validate,
 )
+from rejuvkit.analysis import metrics_report
 from tests.conftest import make_params
 
 
@@ -171,10 +171,14 @@ def test_deterministic_tie_is_conserved():
 
 
 def test_absorbing_blocks_structure():
-    p = make_params()
-    M, cT, alpha = absorbing_blocks(p)
+    # the no-repair partition of the kernel: transient block M, absorption
+    # columns cT, execution starting in state 0
+    r = metrics_report(make_params())
+    M, cT = r.kernel[:10, :10], r.kernel[:10, 10:]
     assert M.shape == (10, 10) and cT.shape == (10, 2)
-    assert alpha[0] == 1.0 and alpha[1:].sum() == 0.0
+    alpha = r.visits @ (np.eye(10) - M)
+    assert alpha[0] == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(alpha[1:]).sum() <= 1e-12
     combined = np.hstack([M, cT])
     assert np.abs(combined.sum(axis=1) - 1.0).max() <= 1e-12
     # spectral radius below 1: mass leaks to absorption

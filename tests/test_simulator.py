@@ -13,7 +13,7 @@ from rejuvkit import (
     simulate_mttf,
 )
 from rejuvkit.simulator import simulate_occupancy
-from rejuvkit.analysis import steady_state
+from rejuvkit.analysis import metrics_report
 from tests.conftest import make_params
 
 NEVER = Deterministic(1e9)
@@ -116,7 +116,7 @@ def test_occupancy_matches_pi_within_three_stderr():
     # horizon long enough that the finite-run renewal bias of the rare
     # migration states sits well inside three standard errors
     p = make_params()
-    _, _, pi = steady_state(p)
+    pi = metrics_report(p).pi
     means, stderr = simulate_occupancy(
         p, SimConfig(replications=100, seed=55, horizon=4e5, warmup=4e3)
     )
@@ -131,3 +131,16 @@ def test_guard_horizon_truncation_reported(monkeypatch):
     est = simulate_mttf(p, SimConfig(replications=4, seed=17))
     assert est.truncated == 4
     assert est.mean == 5000.0
+
+
+@pytest.mark.parametrize("trigger", ["a1", "a4"])
+def test_completion_rejects_distribution_trigger_like_analysis(trigger):
+    from rejuvkit import Exponential
+
+    p = make_params(**{trigger: Exponential(1.0 / 30.0)})
+    w = WorkloadSpec(x=590.6201, r1=0.566316)
+    with pytest.raises(ValueError) as analytic:
+        completion_time(p, w)
+    with pytest.raises(ValueError) as simulated:
+        simulate_completion(p, w, SimConfig(replications=4, seed=1))
+    assert str(simulated.value) == str(analytic.value)

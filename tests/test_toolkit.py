@@ -265,6 +265,22 @@ def test_run_validate_ctmc_check_runs_only_for_exponential():
     assert results["ctmc-oracle"] == "pass"
     results = dict((r[0], r[1]) for r in run_validate(load_config("preset_f_hypo")))
     assert results["ctmc-oracle"] == "skip"
+    # the oracle disarms the reboot laws (c2 = 0), so Erlang reboots still admit it
+    results = dict((r[0], r[1]) for r in run_validate(load_config("preset_r_erl")))
+    assert results["ctmc-oracle"] == "pass"
+
+
+def test_run_validate_reports_distribution_trigger_without_raising():
+    from dataclasses import replace
+
+    from rejuvkit.distributions import Exponential
+
+    cfg = load_config("table7_defaults")
+    cfg = replace(cfg, params=replace(cfg.params, a1=Exponential(1.0 / 30.0)))
+    statuses = {name: status for name, status, _ in run_validate(cfg)}
+    assert statuses["kernel-row-sums"] == "pass"
+    assert statuses["completion-conservation"] == "FAIL"
+    assert statuses["ctmc-oracle"] == "FAIL"
 
 
 def test_run_validate_detects_corruption(monkeypatch):
