@@ -3,8 +3,9 @@
 :func:`metrics_report` is the one assembly of the model: it builds the
 kernel and sojourn times once, weights the embedded chain's stationary
 vector by the sojourn times for availability, and solves the expected
-visit counts of the absorbing (no-repair) variant for MTTF.
-:func:`availability` and :func:`mttf` are views of it.
+visit counts of the absorbing (no-repair) variant for MTTF, which is
+infinite when no failure state is reachable.  :func:`availability` and
+:func:`mttf` are views of it; :func:`mttf` raises on an infinite MTTF.
 
 Completion time solves the pair of Laplace-Stieltjes fixed-point
 equations for the two failure-attribution cases and extracts the mean
@@ -37,7 +38,9 @@ import numpy as np
 
 from .distributions import Distribution
 from .model import ModelConsistencyError, ModelParams, sojourn_times, transition_matrix
-from .numerics import DEFAULT_TOL, absorbing_visits, dtmc_stationary, stieltjes
+from .numerics import (
+    DEFAULT_TOL, AbsorptionUnreachable, absorbing_visits, dtmc_stationary, stieltjes
+)
 
 __all__ = [
     "WorkloadSpec",
@@ -113,7 +116,7 @@ class MetricsReport:
     mttf: float
     completion_time: float | None
     pi: np.ndarray  # long-run fraction of time per state
-    visits: np.ndarray  # expected visits before first failure, states 0-9
+    visits: np.ndarray | None  # expected visits before first failure, states 0-9
     kernel: np.ndarray  # embedded DTMC transition matrix
     sojourn: np.ndarray  # mean sojourn hours per state
     stationary: np.ndarray  # stationary vector of the kernel
@@ -133,8 +136,11 @@ def metrics_report(
     # no-repair variant: the failed states absorb, execution starts in 0
     alpha = np.zeros(10)
     alpha[0] = 1.0
-    V = absorbing_visits(P[:10, :10], alpha)
-    life = float(V @ h[:10])
+    try:
+        V = absorbing_visits(P[:10, :10], alpha)
+    except AbsorptionUnreachable:  # no failure state is reachable
+        V = None
+    life = math.inf if V is None else float(V @ h[:10])
 
     completed = completion_time(p, w, tol) if w is not None else None
     return MetricsReport(avail, life, completed, pi, V, P, h, v)
@@ -146,8 +152,11 @@ def availability(p: ModelParams, tol: float = DEFAULT_TOL) -> float:
 
 
 def mttf(p: ModelParams, tol: float = DEFAULT_TOL) -> float:
-    """Mean time to first failure with repair disabled."""
-    return metrics_report(p, None, tol).mttf
+    """Mean time to first failure with repair disabled; finite or raises."""
+    report = metrics_report(p, None, tol)
+    if report.visits is None:
+        raise AbsorptionUnreachable("I - M is singular: the model has no path to absorption")
+    return report.mttf
 
 
 # --- completion time -------------------------------------------------------

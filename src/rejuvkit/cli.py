@@ -11,21 +11,14 @@ import sys
 
 import numpy as np
 
-from .analysis import CompletionDivergenceError
 from .config import ConfigError, bundled_config_names, load_config
-from .model import STATES, ModelConsistencyError
-from .numerics import QuadratureError, ReducibleChainError
+from .model import STATES
+from .numerics import ReducibleChainError
 from .simulator import SimConfig
 from .toolkit import SweepSpec, rows_to_csv, run_analyze, run_simulate, run_sweep, run_validate
 
-_NUMERICAL_ERRORS = (
-    QuadratureError,
-    ReducibleChainError,
-    ModelConsistencyError,
-    CompletionDivergenceError,
-    ArithmeticError,
-    np.linalg.LinAlgError,
-)
+# quadrature, consistency and divergence errors are ArithmeticErrors
+_NUMERICAL_ERRORS = (ReducibleChainError, ArithmeticError, np.linalg.LinAlgError)
 
 
 def _build_parser():
@@ -88,7 +81,7 @@ def _cmd_analyze(args):
     for state, value in zip(STATES, report.pi):
         print(f"  {state.index:>2} {state.label:7} {value:.6e}")
     print("expected visits before first failure (no-repair chain):")
-    for state, value in zip(STATES[:10], report.visits):
+    for state, value in zip(STATES[:10], () if report.visits is None else report.visits):
         print(f"  {state.index:>2} {state.label:7} {value:.6f}")
     _emit(rows_to_csv(rows), args.out)
     return 0

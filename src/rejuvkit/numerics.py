@@ -16,6 +16,7 @@ from .distributions import Deterministic, Distribution
 __all__ = [
     "QuadratureError",
     "ReducibleChainError",
+    "AbsorptionUnreachable",
     "integrate",
     "integrate_piecewise",
     "stieltjes",
@@ -231,6 +232,10 @@ def dtmc_stationary(P: np.ndarray, tol_row: float = 1e-9) -> np.ndarray:
     return v / v.sum()
 
 
+class AbsorptionUnreachable(ArithmeticError):
+    """I - M is singular: no absorbing state can be reached."""
+
+
 def absorbing_visits(M: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Expected visit counts V = alpha (I - M)^-1 for a sub-stochastic M."""
     M = np.asarray(M, dtype=float)
@@ -242,7 +247,7 @@ def absorbing_visits(M: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     try:
         V = np.linalg.solve(A.T, alpha)
     except np.linalg.LinAlgError as exc:
-        raise ArithmeticError(
+        raise AbsorptionUnreachable(
             "I - M is singular: the model has no path to absorption"
         ) from exc
     if not np.all(np.isfinite(V)):

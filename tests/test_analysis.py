@@ -97,6 +97,17 @@ def test_mttf_absorption_unreachable_raises():
         mttf(p)
 
 
+def test_availability_when_absorption_unreachable():
+    # no failure state is reachable: availability 1, MTTF infinite, and the
+    # report still carries the stationary solve
+    p = make_params(failure=NEVER, migration=Deterministic(0.01), c=(1.0, 0.0, 0.0))
+    assert availability(p) == 1.0
+    report = metrics_report(p)
+    assert report.availability == 1.0
+    assert report.mttf == math.inf and report.visits is None
+    assert report.pi[10] == report.pi[11] == 0.0
+
+
 # --- completion time -------------------------------------------------------
 
 

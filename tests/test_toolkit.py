@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -281,6 +282,33 @@ def test_run_validate_reports_distribution_trigger_without_raising():
     assert statuses["kernel-row-sums"] == "pass"
     assert statuses["completion-conservation"] == "FAIL"
     assert statuses["ctmc-oracle"] == "FAIL"
+
+
+def test_run_validate_and_analyze_when_absorption_unreachable():
+    from dataclasses import replace
+
+    from rejuvkit.distributions import Deterministic
+
+    cfg = load_config("table7_defaults")
+    never = Deterministic(1e9)  # no failure state is reachable
+    params = replace(
+        cfg.params,
+        c1=1.0, c2=0.0, c3=0.0, migration=Deterministic(0.01),
+        **{f"fail_{phase}_{side}": never
+           for phase in ("idle", "migrating", "fixing", "reboot")
+           for side in ("primary", "backup")},
+    )
+    cfg = replace(cfg, params=params)
+    results = run_validate(cfg)
+    statuses = {name: status for name, status, _ in results}
+    for check in ("parameter-invariants", "kernel-row-sums", "kernel-sparsity",
+                  "stationary-residual", "sojourn-times"):
+        assert statuses[check] == "pass", results
+    assert "kernel-construction" not in statuses
+    assert statuses["ctmc-oracle"] == "skip"
+    report, rows = run_analyze(replace(cfg, workload=None))
+    assert report.availability == 1.0
+    assert [r[3] for r in rows] == [1.0, math.inf]
 
 
 def test_run_validate_detects_corruption(monkeypatch):
