@@ -38,14 +38,7 @@ from .model import (
     transition_matrix,
     validate,
 )
-from .numerics import (
-    QuadratureError,
-    ReducibleChainError,
-    absorbing_visits,
-    dtmc_stationary,
-    integrate,
-    stieltjes,
-)
+from .numerics import ReducibleChainError, absorbing_visits, dtmc_stationary
 from .simulator import (
     Estimate,
     SimConfig,
@@ -82,11 +75,8 @@ __all__ = [
     "Hypoexponential",
     "Deterministic",
     "POINT_MASS",
-    "integrate",
-    "stieltjes",
     "dtmc_stationary",
     "absorbing_visits",
-    "QuadratureError",
     "ReducibleChainError",
     "SimConfig",
     "Estimate",

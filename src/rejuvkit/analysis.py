@@ -2,16 +2,20 @@
 
 :func:`metrics_report` is the one assembly of the model: it builds the
 kernel and sojourn times once, weights the embedded chain's stationary
-vector by the sojourn times for availability, and solves the expected
-visit counts of the absorbing (no-repair) variant for MTTF, which is
-infinite when no failure state is reachable.  :func:`availability` and
-:func:`mttf` are views of it; :func:`mttf` raises on an infinite MTTF.
+vector (on the closed set of states that state 0 reaches) by the sojourn
+times for availability, and solves the expected visit counts of the
+absorbing (no-repair) variant for MTTF, which is infinite when no
+failure state is reachable.  :func:`availability` and :func:`mttf` are
+views of it; :func:`mttf` raises on an infinite MTTF.
 
 Completion time solves the pair of Laplace-Stieltjes fixed-point
 equations for the two failure-attribution cases and extracts the mean
 as minus the derivative at zero.  :func:`completion_cases` resolves the
 two cases once per call; the transforms, both derivative routes and the
-simulator all read them.  The default route differentiates the
+simulator all read them.  The windowed transforms and moments of the
+failure laws are exact: a point mass counts when its offset lies in the
+window, and a phase-type law takes one block matrix exponential
+(:func:`numerics.phase_window`).  The default route differentiates the
 assembled transform in closed form; ``method="richardson"`` (finite
 differences with one Richardson step) is kept as a cross-check.
 
@@ -36,10 +40,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution
+from .distributions import Deterministic, Distribution
 from .model import ModelConsistencyError, ModelParams, sojourn_times, transition_matrix
 from .numerics import (
-    DEFAULT_TOL, AbsorptionUnreachable, absorbing_visits, dtmc_stationary, stieltjes
+    AbsorptionUnreachable, absorbing_visits, dtmc_stationary, phase_window, reachability
 )
 
 __all__ = [
@@ -122,13 +126,15 @@ class MetricsReport:
     stationary: np.ndarray  # stationary vector of the kernel
 
 
-def metrics_report(
-    p: ModelParams, w: WorkloadSpec | None = None, tol: float = DEFAULT_TOL
-) -> MetricsReport:
+def metrics_report(p: ModelParams, w: WorkloadSpec | None = None) -> MetricsReport:
     """All analytic metrics from one model build."""
-    P = transition_matrix(p, tol)
-    h = sojourn_times(p, tol)
-    v = dtmc_stationary(P)
+    P = transition_matrix(p)
+    h = sojourn_times(p)
+    # a transition too rare to represent (0.0) can split off a closed class
+    # that the start state 0 never visits: it gets no long-run mass
+    live = np.flatnonzero(reachability(P)[0])
+    v = np.zeros(len(P))
+    v[live] = dtmc_stationary(P[np.ix_(live, live)])
     weighted = v * h
     pi = weighted / weighted.sum()
     avail = float(1.0 - pi[10] - pi[11])
@@ -142,18 +148,18 @@ def metrics_report(
         V = None
     life = math.inf if V is None else float(V @ h[:10])
 
-    completed = completion_time(p, w, tol) if w is not None else None
+    completed = completion_time(p, w) if w is not None else None
     return MetricsReport(avail, life, completed, pi, V, P, h, v)
 
 
-def availability(p: ModelParams, tol: float = DEFAULT_TOL) -> float:
+def availability(p: ModelParams) -> float:
     """Long-run fraction of time in the ten up states."""
-    return metrics_report(p, None, tol).availability
+    return metrics_report(p).availability
 
 
-def mttf(p: ModelParams, tol: float = DEFAULT_TOL) -> float:
+def mttf(p: ModelParams) -> float:
     """Mean time to first failure with repair disabled; finite or raises."""
-    report = metrics_report(p, None, tol)
+    report = metrics_report(p)
     if report.visits is None:
         raise AbsorptionUnreachable("I - M is singular: the model has no path to absorption")
     return report.mttf
@@ -239,48 +245,49 @@ def completion_cases(p: ModelParams, w: WorkloadSpec) -> tuple[_Case, _Case]:
     return primary, backup
 
 
-def _window_lst(d: Distribution, s: float, hi: float, tol: float, cache: dict) -> float:
-    """Incomplete transform over [0, hi]: integral of exp(-s h) dF(h)."""
+def _window(d: Distribution, s: float, hi: float, cache: dict) -> tuple[float, float]:
+    """Integrals of exp(-s h) dF(h) and h exp(-s h) dF(h) over [0, hi].
+
+    A point mass counts when its offset lies in (0, hi] or is 0."""
     key = (id(d), s, hi)
     if key not in cache:
-        cache[key] = stieltjes(lambda h: math.exp(-s * h), d, tol, lower=0.0, upper=hi)
+        if isinstance(d, Deterministic):
+            lst = math.exp(-s * d.offset) if d.offset <= hi else 0.0
+            cache[key] = (lst, d.offset * lst)
+        else:
+            cache[key] = phase_window(d, s, hi)
     return cache[key]
 
 
-def _window_moment(d: Distribution, hi: float, tol: float) -> float:
-    """Integral of h dF(h) over [0, hi]."""
-    return stieltjes(lambda h: h, d, tol, lower=0.0, upper=hi)
-
-
-def _ab(case: _Case, s: float, tol: float, cache: dict):
+def _ab(case: _Case, s: float, cache: dict):
     """Completion mass A(s) and restart mass B(s) of one case."""
     surv = sum(m * (1.0 - law.cdf(case.delta)) for m, law in case.post)
     A = math.exp(-s * case.t0) * surv
-    J = _window_lst(case.pre_fail, s, case.tau, tol, cache)
+    J = _window(case.pre_fail, s, case.tau, cache)[0]
     J += math.exp(-s * case.tau) * sum(
-        m * _window_lst(law, s, case.delta, tol, cache) for m, law in case.post
+        m * _window(law, s, case.delta, cache)[0] for m, law in case.post
     )
     B = case.overhead.lst(s) * case.aging.lst(s) * J
     return A, B
 
 
-def _ab_derivative(case: _Case, tol: float, cache: dict):
+def _ab_derivative(case: _Case, cache: dict):
     """(A(0), B(0), A'(0), B'(0)) with the derivatives taken analytically."""
-    A0, B0 = _ab(case, 0.0, tol, cache)
+    A0, B0 = _ab(case, 0.0, cache)
     dA = -case.t0 * A0
     J0 = B0  # overhead.lst(0) * aging.lst(0) == 1
-    dJ = -_window_moment(case.pre_fail, case.tau, tol)
+    dJ = -_window(case.pre_fail, 0.0, case.tau, cache)[1]
     for m, law in case.post:
-        w0 = _window_lst(law, 0.0, case.delta, tol, cache)
-        dJ += m * (-case.tau * w0 - _window_moment(law, case.delta, tol))
+        w0, moment = _window(law, 0.0, case.delta, cache)
+        dJ += m * (-case.tau * w0 - moment)
     dB = (case.overhead.lst_derivative(0.0) + case.aging.lst_derivative(0.0)) * J0 + dJ
     return A0, B0, dA, dB
 
 
-def _solve_pair(cases, w: WorkloadSpec, s: float, tol: float, cache: dict):
+def _solve_pair(cases, w: WorkloadSpec, s: float, cache: dict):
     """Joint solve of the two case transforms at one point s."""
-    A1, B1 = _ab(cases[0], s, tol, cache)
-    A2, B2 = _ab(cases[1], s, tol, cache)
+    A1, B1 = _ab(cases[0], s, cache)
+    A2, B2 = _ab(cases[1], s, cache)
     if B1 >= 1.0 or (not w.backup_restart_via_primary and B2 >= 1.0):
         raise CompletionDivergenceError(
             f"restart mass B(s={s}) >= 1: the execution never completes under "
@@ -294,34 +301,28 @@ def _solve_pair(cases, w: WorkloadSpec, s: float, tol: float, cache: dict):
     return float(phi[0]), float(phi[1])
 
 
-def completion_lsts(
-    p: ModelParams, w: WorkloadSpec, s: float, tol: float = DEFAULT_TOL
-) -> tuple[float, float]:
+def completion_lsts(p: ModelParams, w: WorkloadSpec, s: float) -> tuple[float, float]:
     """Transforms of the (primary, backup) completion times at s >= 0."""
-    return _solve_pair(completion_cases(p, w), w, s, tol, {})
+    return _solve_pair(completion_cases(p, w), w, s, {})
 
 
-def completion_lst_primary(
-    p: ModelParams, w: WorkloadSpec, s: float, tol: float = DEFAULT_TOL
-) -> float:
+def completion_lst_primary(p: ModelParams, w: WorkloadSpec, s: float) -> float:
     """Transform of the primary-case completion time at s >= 0."""
-    return completion_lsts(p, w, s, tol)[0]
+    return completion_lsts(p, w, s)[0]
 
 
-def completion_lst_backup(
-    p: ModelParams, w: WorkloadSpec, s: float, tol: float = DEFAULT_TOL
-) -> float:
+def completion_lst_backup(p: ModelParams, w: WorkloadSpec, s: float) -> float:
     """Transform of the backup-case completion time at s >= 0."""
-    return completion_lsts(p, w, s, tol)[1]
+    return completion_lsts(p, w, s)[1]
 
 
-def _mean_richardson(cases, w, which, tol, cache):
+def _mean_richardson(cases, w, which, cache):
     # the step stays well inside the nearest pole of the full-line transforms
     pole = min(d.lst_pole for case in cases for d in (case.aging, case.overhead))
     h0 = min(_FD_STEP, 0.4 * pole)
 
     def phi(s):
-        return _solve_pair(cases, w, s, tol, cache)[which]
+        return _solve_pair(cases, w, s, cache)[which]
 
     def central(h):
         return (-phi(2 * h) + 8.0 * phi(h) - 8.0 * phi(-h) + phi(-2 * h)) / (12.0 * h)
@@ -331,9 +332,9 @@ def _mean_richardson(cases, w, which, tol, cache):
     return -(16.0 * d2 - d1) / 15.0
 
 
-def _mean_analytic(cases, w, tol, cache):
-    A1, B1, dA1, dB1 = _ab_derivative(cases[0], tol, cache)
-    A2, B2, dA2, dB2 = _ab_derivative(cases[1], tol, cache)
+def _mean_analytic(cases, w, cache):
+    A1, B1, dA1, dB1 = _ab_derivative(cases[0], cache)
+    A2, B2, dA2, dB2 = _ab_derivative(cases[1], cache)
     e1 = -(dA1 + dB1) / (1.0 - B1)
     if w.backup_restart_via_primary:
         e2 = -dA2 - dB2 + B2 * e1
@@ -342,12 +343,7 @@ def _mean_analytic(cases, w, tol, cache):
     return e1, e2
 
 
-def completion_time(
-    p: ModelParams,
-    w: WorkloadSpec,
-    tol: float = DEFAULT_TOL,
-    method: str = "analytic",
-) -> float:
+def completion_time(p: ModelParams, w: WorkloadSpec, method: str = "analytic") -> float:
     """Mean completion time: minus the transform derivative at zero.
 
     ``method="analytic"`` (default) differentiates the assembled
@@ -359,16 +355,16 @@ def completion_time(
         raise ValueError(f"unknown method {method!r}")
     cases = completion_cases(p, w)
     cache = {}
-    phi1, phi2 = _solve_pair(cases, w, 0.0, tol, cache)
+    phi1, phi2 = _solve_pair(cases, w, 0.0, cache)
     if abs(phi1 - 1.0) > 1e-9 or abs(phi2 - 1.0) > 1e-9:
         raise ModelConsistencyError(
             f"completion transforms at s=0 must equal 1, got {phi1!r}, {phi2!r}"
         )
     if method == "analytic":
-        e1, e2 = _mean_analytic(cases, w, tol, cache)
+        e1, e2 = _mean_analytic(cases, w, cache)
     else:
-        e1 = _mean_richardson(cases, w, 0, tol, cache)
-        e2 = _mean_richardson(cases, w, 1, tol, cache)
+        e1 = _mean_richardson(cases, w, 0, cache)
+        e2 = _mean_richardson(cases, w, 1, cache)
     mean = w.b1 * e1 + w.b2 * e2
     floor = w.b1 * cases[0].t0 + w.b2 * cases[1].t0
     if mean < floor - 1e-6 * max(1.0, floor):

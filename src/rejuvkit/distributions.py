@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 __all__ = [
     "Distribution",
     "Exponential",
@@ -44,7 +46,7 @@ POINT_MASS = _PointMassMarker()
 
 
 class Distribution:
-    """Common interface: cdf/survival/density/mean/lst/sample/truncation.
+    """Common interface: cdf/survival/density/mean/lst/sample/phase_type.
 
     Each family is a frozen dataclass whose fields are its parameters,
     with a class-level ``kind`` naming it in JSON fragments.
@@ -89,29 +91,11 @@ class Distribution:
     def sample(self, rng, size=None):
         raise NotImplementedError
 
-    def truncation_point(self, eps: float) -> float:
-        """Smallest t with survival(t) <= eps."""
-        if not 0.0 < eps < 1.0:
-            raise ValueError(f"eps must be in (0,1), got {eps}")
-        return self._truncation(eps)
-
-    def _truncation(self, eps: float) -> float:
-        # generic bisection against survival(); closed-form subclasses override
-        hi = max(self.mean(), 1e-12)
-        while self.survival(hi) > eps:
-            hi *= 2.0
-            if hi > 1e300:  # pragma: no cover - defensive
-                raise ArithmeticError("truncation bracket overflow")
-        lo = 0.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self.survival(mid) <= eps:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo <= 1e-12 * max(1.0, hi):
-                break
-        return hi
+    @property
+    def phase_type(self):
+        """(alpha, T) with T upper triangular: survival alpha e^{Tt} 1 and
+        density alpha e^{Tt} (-T 1).  Point masses have no such form."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -158,8 +142,9 @@ class Exponential(Distribution):
     def scaled(self, k):
         return Exponential(self.rate * k)
 
-    def _truncation(self, eps):
-        return -math.log(eps) / self.rate
+    @property
+    def phase_type(self):
+        return np.ones(1), np.array([[-self.rate]])
 
 
 @dataclass(frozen=True)
@@ -234,6 +219,12 @@ class Erlang(Distribution):
     def scaled(self, k):
         return Erlang(self.rate * k, self.shape)
 
+    @property
+    def phase_type(self):
+        # `shape` phases in series, each left at `rate`
+        k, r = self.shape, self.rate
+        return np.eye(k)[0], np.diag(np.full(k, -r)) + np.diag(np.full(k - 1, r), 1)
+
 
 @dataclass(frozen=True)
 class Hypoexponential(Distribution):
@@ -304,6 +295,11 @@ class Hypoexponential(Distribution):
     def scaled(self, k):
         return Hypoexponential(self.rate1 * k, self.rate2 * k)
 
+    @property
+    def phase_type(self):
+        a, b = self.rate1, self.rate2
+        return np.array([1.0, 0.0]), np.array([[-a, a], [0.0, -b]])
+
 
 @dataclass(frozen=True)
 class Deterministic(Distribution):
@@ -334,12 +330,7 @@ class Deterministic(Distribution):
     def sample(self, rng, size=None):
         if size is None:
             return self.offset
-        import numpy as np
-
         return np.full(size, self.offset)
-
-    def _truncation(self, eps):
-        return self.offset
 
     def scaled(self, k):
         return Deterministic(self.offset / k)

@@ -18,8 +18,12 @@ states 7, 1, 5, 4, 9, 11 apply with triggers ``a4``..``a6``.
 Each state is a race of independent competing events; branch-conditioned
 events are "thinned": with probability ``c`` they fire after their law's
 duration, otherwise never.  One-step transition probabilities are
-Stieltjes integrals of the survival product of the competing events, and
-mean sojourn times integrate the full survival product.
+integrals of the winner's density against the survival product of the
+other events, and mean sojourn times integrate the full survival
+product.  Every timed law is phase-type or a point mass, so each
+integral is evaluated exactly by :func:`numerics.phase_integral`: the
+trigger steps cut it into segments, and the thinned survivals expand
+into a few products of phase-type survivals.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .distributions import Deterministic, Distribution
-from .numerics import DEFAULT_TOL, TAIL_MASS, integrate_piecewise, stieltjes
+from .numerics import phase_integral
 
 __all__ = [
     "SystemState",
@@ -198,31 +202,27 @@ def state_events(p: ModelParams) -> list[list[_Event]]:
     ]
 
 
-def _knots(events, skip=None):
-    pts = set()
+def _race(events, skip=None):
+    """(terms, steps) of the survival product of ``events`` less ``skip``.
+
+    A point mass is a step: its factor 1 - c applies from its offset on.
+    A thinned phase-type survival 1 - cF = (1 - c) + cS expands the
+    product into terms ``(coefficient, laws)`` of proper survivals.
+    """
+    terms = [(1.0, ())]
+    steps = []
     for k, ev in enumerate(events):
-        if k == skip:
+        if k == skip or ev.thin == 0.0:
             continue
         if isinstance(ev.dist, Deterministic):
-            pts.add(ev.dist.offset)
-        else:
-            pts.add(ev.dist.mean())
-            pts.add(ev.dist.truncation_point(TAIL_MASS))
-    return pts
-
-
-def _survival_product(events, t, skip=None):
-    acc = 1.0
-    for k, ev in enumerate(events):
-        if k == skip:
+            steps.append((ev.dist.offset, 1.0 - ev.thin))
             continue
-        acc *= 1.0 - ev.thin * ev.dist.cdf(t)
-        if acc == 0.0:
-            return 0.0
-    return acc
+        split = [(ev.thin, (ev.dist,))] + ([(1.0 - ev.thin, ())] if ev.thin < 1.0 else [])
+        terms = [(c * cs, laws + extra) for c, laws in terms for cs, extra in split]
+    return terms, steps
 
 
-def _entry(events, j, tol):
+def _entry(events, j):
     """P(event j fires first among the independent competing events)."""
     ev = events[j]
     if ev.thin == 0.0:
@@ -241,15 +241,14 @@ def _entry(events, j, tol):
             else:
                 acc *= 1.0 - other.thin * other.dist.cdf(t)
         return acc
-    g = lambda t: _survival_product(events, t, skip=j)
-    return ev.thin * stieltjes(g, ev.dist, tol, knots=_knots(events, skip=j))
+    return ev.thin * phase_integral(ev.dist, *_race(events, skip=j))
 
 
-def transition_matrix(p: ModelParams, tol: float = DEFAULT_TOL) -> np.ndarray:
+def transition_matrix(p: ModelParams) -> np.ndarray:
     """One-step transition probability matrix of the embedded DTMC.
 
     Every reachable entry is first computed by its competing-risks
-    integral; a row whose integrated sum strays from 1 by more than 1e-8
+    integral; a row whose computed sum strays from 1 by more than 1e-8
     raises :class:`ModelConsistencyError`.  The designated residual entry
     of each multi-event row is then re-closed by subtraction (and clamped
     to [0, 1]) so rows sum to 1 exactly.
@@ -262,7 +261,7 @@ def transition_matrix(p: ModelParams, tol: float = DEFAULT_TOL) -> np.ndarray:
             P[i, _CERTAIN_ROWS[i]] = 1.0
             continue
         for j, ev in enumerate(evs):
-            P[i, ev.target] += _entry(evs, j, tol)
+            P[i, ev.target] += _entry(evs, j)
         gap = abs(P[i].sum() - 1.0)
         if gap > _ROW_SUM_TOL:
             raise ModelConsistencyError(
@@ -272,29 +271,21 @@ def transition_matrix(p: ModelParams, tol: float = DEFAULT_TOL) -> np.ndarray:
         if i in _RESIDUAL_TARGET:
             r = _RESIDUAL_TARGET[i]
             P[i, r] = min(1.0, max(0.0, 1.0 - (P[i].sum() - P[i, r])))
-        # rescale residual quadrature error (and any clamping slack) so the
-        # row closes exactly; the correction is below the integration tol
+        # rescale the rounding left by the closure (and any clamping slack)
+        # so the row closes exactly
         P[i] /= P[i].sum()
     return P
 
 
-def sojourn_times(p: ModelParams, tol: float = DEFAULT_TOL) -> np.ndarray:
+def sojourn_times(p: ModelParams) -> np.ndarray:
     """Mean sojourn time per state: integral of the survival product."""
     p.require_valid()
     hours = np.zeros(N_STATES)
     for i, evs in enumerate(state_events(p)):
         if len(evs) == 1:
             hours[i] = evs[0].dist.mean()
-            continue
-        # any always-armed event bounds the survival product
-        proper = [ev.dist.truncation_point(TAIL_MASS) for ev in evs if ev.thin == 1.0]
-        upper = min(proper)
-        if upper == 0.0:
-            hours[i] = 0.0
-            continue
-        f = lambda t: _survival_product(evs, t)
-        knots = {k for k in _knots(evs) if k < upper}
-        hours[i] = integrate_piecewise(f, 0.0, upper, knots, tol)
+        else:
+            hours[i] = phase_integral(None, *_race(evs))
     return hours
 
 

@@ -1,41 +1,30 @@
-"""Shared numerical machinery: quadrature, Stieltjes integrals, chain solves.
+"""Shared numerical machinery: exact phase-type integrals, chain solves.
 
-Everything here is a pure function over immutable inputs.  The model is
-12 states, so all linear algebra is dense with partial pivoting; no
-sparse or iterative machinery is warranted at this scale.
+Every law in the model is phase-type (alpha, T) or a point mass, so the
+integrals of competing-risks survival products, and the windowed
+transforms of the completion analysis, have closed matrix forms; they
+are evaluated here exactly, with no quadrature.  The model is 12
+states, so the chain solves are dense with partial pivoting.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-
-from .distributions import Deterministic, Distribution
+from scipy.linalg import expm
 
 __all__ = [
-    "QuadratureError",
     "ReducibleChainError",
     "AbsorptionUnreachable",
-    "integrate",
-    "integrate_piecewise",
-    "stieltjes",
+    "kron_sum_solve",
+    "phase_integral",
+    "phase_window",
+    "reachability",
     "dtmc_stationary",
     "absorbing_visits",
 ]
-
-DEFAULT_TOL = 1e-10  # absolute quadrature tolerance
-TAIL_MASS = 1e-12  # survival mass discarded when truncating improper integrals
-_MAX_DEPTH = 60
-
-
-class QuadratureError(ArithmeticError):
-    """Adaptive quadrature failed to converge; carries the partial estimate."""
-
-    def __init__(self, message, partial):
-        super().__init__(message)
-        self.partial = partial
-
 
 class ReducibleChainError(ValueError):
     """The chain has no unique stationary vector; names the offending states."""
@@ -45,150 +34,191 @@ class ReducibleChainError(ValueError):
         self.states = tuple(states)
 
 
-def _adapt(f, a, fa, b, fb, m, fm, whole, tol, depth, force):
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    # the |S2-S1| indicator is only asymptotic: never accept within the
-    # first forced levels, where a curvature sign change can cancel it
-    if force <= 0 and abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    if depth <= 0:
-        raise QuadratureError(
-            f"adaptive Simpson did not converge on [{a}, {b}] after {_MAX_DEPTH} levels",
-            partial=left + right,
-        )
-    half = 0.5 * tol
-    return _adapt(f, a, fa, m, fm, lm, flm, left, half, depth - 1, force - 1) + _adapt(
-        f, m, fm, b, fb, rm, frm, right, half, depth - 1, force - 1
-    )
+@functools.lru_cache(maxsize=64)
+def _levels(shape):
+    """Flat indices of a C-ordered tensor grouped by level sum(i_k), highest first."""
+    level = np.zeros(shape, dtype=np.intp)
+    for k, n in enumerate(shape):
+        level = level + np.arange(n).reshape((n,) + (1,) * (len(shape) - k - 1))
+    level = level.ravel()
+    order = np.argsort(-level, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(level)[::-1])[:-1])
 
 
-def integrate(f, a: float, b: float, tol: float = DEFAULT_TOL) -> float:
-    """Adaptive-Simpson integral of ``f`` over the finite interval [a, b].
+def kron_sum_solve(generators, V):
+    """X with -(T_1 (+) ... (+) T_m) X = V, for upper-triangular T_k.
 
-    The estimate meets ``tol`` (absolute) on smooth integrands; improper
-    integrals are the caller's problem (truncate via ``truncation_point``).
+    ``V`` and ``X`` are tensors with one axis per generator.  Each
+    off-diagonal entry of the Kronecker sum couples an unknown to one of a
+    higher level sum(i_k), so the unknowns are back-substituted level by
+    level, highest first, one vectorised step per level.  The sum is never
+    formed: memory and work stay proportional to the number of unknowns.
     """
-    if not (a <= b and math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"need finite a <= b, got [{a}, {b}]")
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if a == b:
-        return 0.0
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _adapt(f, a, fa, b, fb, m, fm, whole, tol, _MAX_DEPTH, 3)
+    shape = tuple(T.shape[0] for T in generators)
+    size = V.size
+    strides = [int(np.prod(shape[k + 1 :])) for k in range(len(shape))]
+    diag = np.zeros(shape)
+    couplings = []
+    for k, T in enumerate(generators):
+        axis = (slice(None),) + (None,) * (len(shape) - k - 1)
+        diag = diag - np.diag(T)[axis]
+        for d in range(1, shape[k]):
+            upper = np.append(np.diag(T, d), np.zeros(d))
+            if upper.any():
+                couplings.append((d * strides[k], np.broadcast_to(upper[axis], shape).ravel()))
+    diag = diag.ravel()
+    rhs = np.asarray(V, dtype=float).ravel()
+    # trailing zeros absorb the couplings that run past an axis end (their
+    # coefficient is 0); unknowns not yet solved also read as 0
+    X = np.zeros(size + max((step for step, _ in couplings), default=0))
+    for idx in _levels(shape):
+        acc = rhs[idx]
+        for step, coeff in couplings:
+            acc = acc + coeff[idx] * X[idx + step]
+        X[idx] = acc / diag[idx]
+    return X[:size].reshape(shape)
 
 
-def integrate_piecewise(f, a, b, knots=(), tol=DEFAULT_TOL):
-    """Integrate over [a, b] split at interior ``knots``.
+def _contract(rows, x):
+    """(row_1 (x) ... (x) row_m) . x for a tensor ``x`` with one axis per row."""
+    for r in rows:
+        x = r @ x.reshape(r.size, -1)
+    return float(x[0])
 
-    Knots mark discontinuities (trigger steps) and scale changes (event
-    means, truncation points of short-lived competitors) so the adaptive
-    pass cannot step over a narrow feature.
+
+# holds one model build's (law, segment length) pairs, met in several rows
+@functools.lru_cache(maxsize=32)
+def _segment(d, length):
+    """(e^{TL}, I - e^{TL}) of a phase-type law over a segment of length L.
+
+    Both come from one block exponential: expm of [[T, I], [0, 0]] L holds
+    e^{TL} and the integral Phi of e^{Tu} over [0, L], and
+    I - e^{TL} = -T Phi carries no cancellation when L is short.
     """
-    cuts = sorted({float(k) for k in knots if a < k < b})
-    points = [a, *cuts, b]
-    n = len(points) - 1
-    per = tol / n
-    return sum(integrate(f, points[i], points[i + 1], per) for i in range(n))
+    _, T = d.phase_type
+    n = T.shape[0]
+    M = np.zeros((2 * n, 2 * n))
+    M[:n, :n] = T
+    M[:n, n:] = np.eye(n)
+    E = expm(M * length)
+    D = -T @ E[:n, n:]
+    E.setflags(write=False)
+    D.setflags(write=False)
+    return E[:n, :n], D
 
 
-def stieltjes(
-    g,
-    d: Distribution,
-    tol: float = DEFAULT_TOL,
-    lower: float = 0.0,
-    upper: float | None = None,
-    knots=(),
-) -> float:
-    """Stieltjes integral of ``g`` against the law of ``d`` over [lower, upper].
+# depends on the laws, not the trigger offsets: a trigger sweep shares it
+@functools.lru_cache(maxsize=256)
+def _term_solution(laws, density):
+    """x = (-K)^{-1} v of one term; with ``density``, laws[0] is the density's."""
+    generators = [d.phase_type[1] for d in laws]
+    v = [np.ones(T.shape[0]) for T in generators]
+    if density:
+        v[0] = -generators[0].sum(axis=1)
+    x = kron_sum_solve(generators, functools.reduce(np.multiply.outer, v))
+    x.setflags(write=False)
+    return x
 
-    ``upper=None`` means the full support; the tail past survival mass
-    ``TAIL_MASS`` is dropped.  For a point mass the integral collapses to
-    a single evaluation of ``g`` at the offset (exact).  Jump boundary
-    semantics for point masses: the offset counts when it lies in
-    (lower, upper], or when it equals a zero lower bound.
+
+def phase_integral(density, terms, steps=()) -> float:
+    """Exact integral over [0, inf) of m(t) f(t) sum_terms c prod_laws S(t).
+
+    f is the density of the phase-type law ``density`` (``None``: f = 1);
+    each term ``(c, laws)`` multiplies the survivals of phase-type
+    ``laws``; m(t) is the product of the factors of the ``steps``
+    ``(offset, factor)`` with offset <= t, so the offsets cut [0, inf)
+    into segments.
+
+    A term is (alpha_1 (x) ... (x) alpha_m) e^{Kt} v, with K the Kronecker
+    sum of the T_k and v the product of the exit vector (density) and unit
+    vectors (survivals).  With x = (-K)^{-1} v, solved once per term, the
+    integral over [a, b) is R(a) - R(b), R(t) = (r_1(t) (x) ... (x) r_m(t)) . x
+    with r_k(t) = alpha_k e^{T_k t}, and R(inf) = 0.  The difference is
+    telescoped one factor r_k(a) (I - e^{T_k (b - a)}) at a time, so short
+    segments keep their relative precision.  A term without laws
+    integrates m alone.
     """
-    if lower < 0.0:
-        raise ValueError(f"lower must be >= 0, got {lower}")
-    if isinstance(d, Deterministic):
-        t = d.offset
-        inside = (lower < t or (lower == 0.0 and t == 0.0)) and (upper is None or t <= upper)
-        return g(t) if inside else 0.0
-    hi = d.truncation_point(TAIL_MASS) if upper is None else upper
-    if hi <= lower:
-        return 0.0
-    mean = d.mean()
-    cuts = set(knots)
-    cuts.update((mean, 2.0 * mean))
-    return integrate_piecewise(lambda t: g(t) * d.density(t), lower, hi, cuts, tol)
+    edges = sorted({0.0, *(off for off, _ in steps if off > 0.0)})
+    weights = [math.prod(f for off, f in steps if off <= a) for a in edges]
+    tracks = {}
+
+    def track(d):
+        """r(a) at each edge a, and r(a) - r(b) over each finite segment [a, b)."""
+        if d not in tracks:
+            rows, drops = [d.phase_type[0]], []
+            for a, b in zip(edges, edges[1:]):
+                E, D = _segment(d, b - a)
+                drops.append(rows[-1] @ D)
+                rows.append(rows[-1] @ E)
+            tracks[d] = rows, drops
+        return tracks[d]
+
+    total = 0.0
+    for c, laws in terms:
+        if c == 0.0:
+            continue
+        laws = (density, *laws) if density is not None else laws
+        if not laws:
+            if weights[-1] != 0.0:
+                raise ArithmeticError("survival product does not decay: infinite integral")
+            total += c * sum(w * (b - a) for w, a, b in zip(weights, edges, edges[1:]))
+            continue
+        x = _term_solution(laws, density is not None)
+        rows, drops = zip(*(track(d) for d in laws))
+        acc = 0.0
+        for i, w in enumerate(weights):
+            if w == 0.0:
+                continue
+            start = [r[i] for r in rows]
+            if i + 1 == len(edges):
+                acc += w * _contract(start, x)
+                continue
+            end = [r[i + 1] for r in rows]
+            for k in range(len(laws)):
+                acc += w * _contract([*end[:k], drops[k][i], *start[k + 1 :]], x)
+        total += c * acc
+    return total
+
+
+def phase_window(d, s: float, h: float) -> tuple[float, float]:
+    """Windowed transform and moment of a phase-type law over [0, h].
+
+    Returns (integral of e^{-su} dF(u), integral of u e^{-su} dF(u)), both
+    over [0, h], from one block exponential (Van Loan 1978): with
+    A = T - sI and t the exit vector, expm of
+    [[A, I, 0], [0, A, t], [0, 0, 0]] h holds the integral of e^{Au} t
+    in its (2, 3) block and that of u e^{Au} t in its (1, 3) block.
+    """
+    alpha, T = d.phase_type
+    n = T.shape[0]
+    A = T - s * np.eye(n)
+    M = np.zeros((2 * n + 1, 2 * n + 1))
+    M[:n, :n] = A
+    M[:n, n : 2 * n] = np.eye(n)
+    M[n : 2 * n, n : 2 * n] = A
+    M[n : 2 * n, 2 * n] = -T.sum(axis=1)
+    E = expm(M * h)
+    return float(alpha @ E[n : 2 * n, 2 * n]), float(alpha @ E[:n, 2 * n])
+
+
+def reachability(P: np.ndarray) -> np.ndarray:
+    """Boolean matrix whose [i, j] says that j can be reached from i (or j == i)."""
+    n = P.shape[0]
+    reach = (P > 0.0) | np.eye(n, dtype=bool)
+    for _ in range(n.bit_length()):  # squaring doubles the path length covered
+        reach = (reach.astype(float) @ reach) > 0.0
+    return reach
 
 
 def _closed_classes(P: np.ndarray):
-    """Recurrent classes of the adjacency pattern of ``P`` (Tarjan SCC)."""
-    n = P.shape[0]
-    adj = [np.nonzero(P[i] > 0.0)[0].tolist() for i in range(n)]
-    index = [None] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack = []
-    sccs = []
-    counter = [0]
+    """Recurrent classes of the adjacency pattern of ``P``.
 
-    def strongconnect(v):
-        # iterative Tarjan to keep recursion shallow
-        work = [(v, 0)]
-        while work:
-            node, pi = work[-1]
-            if pi == 0:
-                index[node] = low[node] = counter[0]
-                counter[0] += 1
-                stack.append(node)
-                on_stack[node] = True
-            recurse = False
-            for i in range(pi, len(adj[node])):
-                w = adj[node][i]
-                if index[w] is None:
-                    work[-1] = (node, i + 1)
-                    work.append((w, 0))
-                    recurse = True
-                    break
-                if on_stack[w]:
-                    low[node] = min(low[node], index[w])
-            if recurse:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == node:
-                        break
-                sccs.append(sorted(comp))
-
-    for v in range(n):
-        if index[v] is None:
-            strongconnect(v)
-
-    closed = []
-    for comp in sccs:
-        members = set(comp)
-        if all(all(w in members for w in adj[v]) for v in comp):
-            closed.append(comp)
-    return closed
+    A state is recurrent when every state it reaches reaches it back; its
+    class is then the set of states it reaches.
+    """
+    reach = reachability(P)
+    classes = {tuple(np.flatnonzero(r)) for i, r in enumerate(reach) if reach[r, i].all()}
+    return sorted(list(c) for c in classes)
 
 
 def dtmc_stationary(P: np.ndarray, tol_row: float = 1e-9) -> np.ndarray:

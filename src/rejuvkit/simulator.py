@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from .analysis import WorkloadSpec, completion_cases
 from .model import ModelParams, state_events
@@ -72,7 +72,7 @@ def _estimate(metric, values, truncated=0) -> Estimate:
     n = values.size
     mean = float(values.mean())
     spread = float(values.std(ddof=1))
-    half = float(stats.t.ppf(0.975, n - 1)) * spread / math.sqrt(n) if spread > 0.0 else 0.0
+    half = float(stdtrit(n - 1, 0.975)) * spread / math.sqrt(n) if spread > 0.0 else 0.0
     return Estimate(metric, mean, mean - half, mean + half, n, truncated)
 
 

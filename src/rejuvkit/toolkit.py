@@ -20,7 +20,7 @@ import numpy as np
 from . import ctmc
 from .analysis import completion_lsts, completion_time, metrics_report
 from .config import ConfigError, RunConfig
-from .distributions import Exponential, to_json
+from .distributions import Distribution, Exponential, to_json
 from .model import KERNEL_TARGETS, validate
 from .simulator import SimConfig, simulate_availability, simulate_completion, simulate_mttf
 
@@ -37,6 +37,7 @@ __all__ = [
 
 CSV_HEADER = ("variable", "value", "metric", "analytic", "sim_mean", "ci_low", "ci_high")
 METRICS = ("availability", "mttf", "completion")
+_TRIGGERS = ("a1", "a2", "a3", "a4", "a5", "a6")
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -80,15 +81,15 @@ class SweepSpec:
 def apply_variable(cfg: RunConfig, variable: str, value: float, tie: str = "all") -> RunConfig:
     """Config with the swept variable set to ``value``."""
     if variable == "trigger_interval":
-        p = cfg.params
-        offsets = {k: float(getattr(p, k)) for k in ("a1", "a2", "a3", "a4", "a5", "a6")}
-        moved = {
-            "all": ("a1", "a2", "a3", "a4", "a5", "a6"),
-            "primary": ("a1", "a2", "a3"),
-            "backup": ("a4", "a5", "a6"),
-        }[tie]
-        offsets.update({k: float(value) for k in moved})
-        return cfg.with_overrides({"triggers": offsets})
+        moved = {"all": _TRIGGERS, "primary": _TRIGGERS[:3], "backup": _TRIGGERS[3:]}[tie]
+        params = replace(cfg.params, **{k: float(value) for k in moved})
+        problems = validate(params)
+        if problems:
+            raise ConfigError("; ".join(problems))
+        # the unmoved triggers keep their values; raw can hold only numbers
+        triggers = {k: getattr(params, k) for k in _TRIGGERS}
+        numeric = {k: v for k, v in triggers.items() if not isinstance(v, Distribution)}
+        return replace(cfg, params=params, raw={**cfg.raw, "triggers": numeric})
     if variable == "fixing_mean":
         if value <= 0:
             raise ConfigError(f"fixing_mean must be positive, got {value}")
@@ -101,16 +102,16 @@ def apply_variable(cfg: RunConfig, variable: str, value: float, tie: str = "all"
     return cfg.with_overrides({variable: value})
 
 
-def _evaluate(cfg: RunConfig, metrics, tol=1e-10) -> dict:
+def _evaluate(cfg: RunConfig, metrics) -> dict:
     want_completion = "completion" in metrics
     if want_completion and cfg.workload is None:
         raise ConfigError("completion metric requested but the config has no workload block")
     values = {}
     if set(metrics) - {"completion"}:
-        report = metrics_report(cfg.params, None, tol=tol)
+        report = metrics_report(cfg.params)
         values.update(availability=report.availability, mttf=report.mttf)
     if want_completion:
-        values["completion"] = completion_time(cfg.params, cfg.workload, tol=tol)
+        values["completion"] = completion_time(cfg.params, cfg.workload)
     return {m: values[m] for m in metrics}
 
 

@@ -89,6 +89,20 @@ def test_mttf_two_step_closed_form():
     assert mttf(p) == pytest.approx(1.0 / lam_u + 1.0 / lam_f, rel=1e-8)
 
 
+def test_stationary_solve_from_the_start_state():
+    # the same config: P[8, 2] and P[1, 9] are e^{-1e5}, exactly 0.0 in
+    # double precision, which leaves {1, 7, 11} a closed class that the
+    # start state never reaches; the stationary solve covers {0, 8, 10}
+    p = make_params(
+        trigger=1e7, aging=Exponential(0.001), failure=Exponential(0.01), c=(1.0, 0.0, 0.0)
+    )
+    report = metrics_report(p)
+    assert report.kernel[8, 2] == 0.0 and report.kernel[1, 9] == 0.0
+    assert report.availability == pytest.approx(1100.0 / 1101.0, abs=1e-12)
+    assert report.stationary[[1, 7, 11]].tolist() == [0.0, 0.0, 0.0]
+    assert report.mttf == pytest.approx(1100.0, rel=1e-12)
+
+
 def test_mttf_absorption_unreachable_raises():
     # certain triggers/migration always outrun the far point-mass failures:
     # the no-repair chain cycles forever and the visit solve is singular

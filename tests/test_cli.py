@@ -85,8 +85,8 @@ def test_validate_cli_pass(config_file, capsys):
 def test_validate_cli_fail_exit_1(config_file, monkeypatch):
     import rejuvkit.model as model
 
-    real = model.stieltjes
-    monkeypatch.setattr(model, "stieltjes", lambda g, d, tol=1e-10, **kw: 0.9 * real(g, d, tol, **kw))
+    real = model.phase_integral
+    monkeypatch.setattr(model, "phase_integral", lambda *args: 0.9 * real(*args))
     assert main(["validate", "--config", config_file()]) == 1
 
 
@@ -127,3 +127,10 @@ def test_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert "availability" in proc.stdout
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    code = "import sys, rejuvkit.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -8,7 +8,7 @@ from scipy import stats
 
 from rejuvkit import POINT_MASS, Deterministic, Erlang, Exponential, Hypoexponential
 from rejuvkit.distributions import from_json, to_json
-from rejuvkit.numerics import integrate
+from tests.quadrature import integrate, integrate_piecewise, truncation_point
 
 FAMILIES = [
     Exponential(0.0010432),
@@ -173,6 +173,22 @@ def test_lst_derivative_matches_finite_difference(d, s):
     assert d.lst_derivative(s) == pytest.approx(numeric, rel=1e-6)
 
 
+# --- phase-type form -------------------------------------------------------
+
+
+@pytest.mark.parametrize("d", [d for d in FAMILIES if not isinstance(d, Deterministic)])
+def test_phase_type_reproduces_the_law(d):
+    from scipy.linalg import expm
+
+    alpha, T = d.phase_type
+    assert np.allclose(T, np.triu(T)) and alpha.sum() == 1.0
+    assert np.all(np.diag(T) < 0.0) and np.all(T.sum(axis=1) <= 0.0)
+    for t in (0.1 * d.mean(), d.mean(), 4.0 * d.mean()):
+        row = alpha @ expm(T * t)
+        assert row.sum() == pytest.approx(d.survival(t), rel=1e-12)
+        assert row @ -T.sum(axis=1) == pytest.approx(d.density(t), rel=1e-12)
+
+
 # --- sampling --------------------------------------------------------------
 
 
@@ -213,26 +229,26 @@ def test_kolmogorov_smirnov(d, rng):
 def test_truncation_closed_form_exponential():
     lam = 0.37
     eps = math.exp(-20.0)
-    assert Exponential(lam).truncation_point(eps) == pytest.approx(20.0 / lam, rel=1e-12)
+    assert truncation_point(Exponential(lam), eps) == pytest.approx(20.0 / lam, rel=1e-12)
 
 
 def test_truncation_deterministic():
-    assert Deterministic(42.0).truncation_point(0.5) == 42.0
-    assert Deterministic(42.0).truncation_point(1e-15) == 42.0
+    assert truncation_point(Deterministic(42.0), 0.5) == 42.0
+    assert truncation_point(Deterministic(42.0), 1e-15) == 42.0
 
 
 def test_truncation_bisection_hypoexponential():
     d = Hypoexponential(0.9, 4.0)
-    t = d.truncation_point(1e-12)
+    t = truncation_point(d, 1e-12)
     assert d.survival(t) <= 1e-12
     assert d.survival(t * 0.98) > 1e-12
 
 
 def test_truncation_rejects_bad_eps():
     with pytest.raises(ValueError):
-        Exponential(1.0).truncation_point(0.0)
+        truncation_point(Exponential(1.0), 0.0)
     with pytest.raises(ValueError):
-        Exponential(1.0).truncation_point(1.5)
+        truncation_point(Exponential(1.0), 1.5)
 
 
 # --- invariants battery ----------------------------------------------------
@@ -241,7 +257,7 @@ def test_truncation_rejects_bad_eps():
 def test_cdf_monotone_and_density_consistent(rng):
     for _ in range(1000):
         d = random_dist(rng)
-        hi = d.truncation_point(1e-12)
+        hi = truncation_point(d, 1e-12)
         grid = np.linspace(0.0, max(hi, 1e-9), 1000)
         values = np.array([d.cdf(t) for t in grid])
         assert np.all(np.diff(values) >= -1e-15)
@@ -258,14 +274,12 @@ def test_survival_integrates_to_mean(rng):
         d = random_dist(rng)
         if isinstance(d, Deterministic):
             continue
-        hi = d.truncation_point(1e-14)
+        hi = truncation_point(d, 1e-14)
         total = integrate(d.survival, 0.0, hi, 1e-9 * d.mean())
         assert total == pytest.approx(d.mean(), rel=1e-6)
 
 
 def test_lst_matches_numerical_stieltjes(rng):
-    from rejuvkit.numerics import integrate_piecewise
-
     for _ in range(25):
         d = random_dist(rng)
         if isinstance(d, Deterministic):
@@ -273,7 +287,7 @@ def test_lst_matches_numerical_stieltjes(rng):
         for s in (0.0, 0.1, 1.0, 10.0):
             # window capped by the exp(-s t) tail so the quadrature sees
             # the integrand's true scale; discarded tails are < 1e-12
-            hi = d.truncation_point(1e-14)
+            hi = truncation_point(d, 1e-14)
             if s > 0.0:
                 hi = min(hi, 30.0 / s)
             knots = {hi / 1000.0, hi / 10.0, d.mean()}

@@ -163,6 +163,20 @@ def test_row_battery_random_families(rng):
         assert np.all(np.isfinite(h)) and np.all(h >= 0.0)
 
 
+def test_large_erlang_race_is_exact():
+    # two 200-phase laws race in the migrating state: 40,000 Kronecker
+    # phases, solved without forming the sum; the chance that migration
+    # finishes first is the regularised incomplete beta I_p(200, 200)
+    from scipy.special import betainc
+
+    mu, lam = 2000.0, 1800.0
+    p = make_params(failure=Erlang(lam, 200), migration=Erlang(mu, 200))
+    P = transition_matrix(p)
+    assert P[2, 7] == pytest.approx(betainc(200, 200, mu / (mu + lam)), abs=1e-14)
+    assert np.abs(P.sum(axis=1) - 1.0).max() <= 1e-12
+    assert np.all(np.isfinite(sojourn_times(p)))
+
+
 def test_deterministic_tie_is_conserved():
     # two point masses at the same instant: earlier-listed event wins
     p = make_params(trigger=2.0, fixing=Deterministic(2.0), reboot=Deterministic(2.0))
@@ -202,12 +216,12 @@ def test_invalid_params_raise_on_build():
 def test_row_sum_guard_catches_corruption(monkeypatch):
     import rejuvkit.model as model
 
-    real = model.stieltjes
+    real = model.phase_integral
 
-    def deflated(g, d, tol=1e-10, **kw):
-        return 0.9 * real(g, d, tol, **kw)
+    def deflated(*args):
+        return 0.9 * real(*args)
 
-    monkeypatch.setattr(model, "stieltjes", deflated)
+    monkeypatch.setattr(model, "phase_integral", deflated)
     with pytest.raises(ModelConsistencyError, match="row"):
         transition_matrix(make_params())
 

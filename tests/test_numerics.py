@@ -5,14 +5,14 @@ import pytest
 
 from rejuvkit import Deterministic, Erlang, Exponential
 from rejuvkit.numerics import (
-    QuadratureError,
     ReducibleChainError,
     absorbing_visits,
     dtmc_stationary,
-    integrate,
-    integrate_piecewise,
-    stieltjes,
+    kron_sum_solve,
+    phase_integral,
+    phase_window,
 )
+from tests.quadrature import QuadratureError, integrate, integrate_piecewise, stieltjes
 
 
 # --- integrate -------------------------------------------------------------
@@ -209,3 +209,63 @@ def test_visits_singular_when_no_absorption():
     M = np.array([[0.0, 1.0], [1.0, 0.0]])  # row sums 1: no leak to absorption
     with pytest.raises(ArithmeticError, match="absorption"):
         absorbing_visits(M, np.array([1.0, 0.0]))
+
+
+# --- exact phase-type engine -----------------------------------------------
+
+
+def _sub_generator(rng, n):
+    T = np.triu(rng.uniform(0.0, 2.0, size=(n, n)), 1)
+    return T - np.diag(T.sum(axis=1) + rng.uniform(0.1, 3.0, size=n))
+
+
+def test_kron_sum_solve_matches_dense(rng):
+    for shape in [(1,), (3,), (2, 1), (1, 3), (3, 2), (2, 3, 2), (4, 1, 3, 2)]:
+        Ts = [_sub_generator(rng, n) for n in shape]
+        V = rng.uniform(0.0, 1.0, size=shape)
+        K = Ts[0]
+        for T in Ts[1:]:
+            K = np.kron(K, np.eye(T.shape[0])) + np.kron(np.eye(K.shape[0]), T)
+        dense = np.linalg.solve(-K, V.ravel())
+        X = kron_sum_solve(Ts, V)
+        assert X.shape == shape
+        assert np.abs(X.ravel() - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def test_phase_integral_two_exponential_race():
+    kappa, omega = 120.5, 0.0010432
+    value = phase_integral(Exponential(kappa), [(1.0, (Exponential(omega),))])
+    assert value == pytest.approx(kappa / (kappa + omega), abs=1e-15)
+
+
+def test_phase_integral_steps_cut_segments():
+    # survival e^{-lt} weighted 1 before tau and w after: a truncated mean
+    # plus a weighted tail
+    lam, tau, w = 0.3, 2.5, 0.25
+    value = phase_integral(None, [(1.0, (Exponential(lam),))], [(tau, w)])
+    closed = (1.0 - math.exp(-lam * tau)) / lam + w * math.exp(-lam * tau) / lam
+    assert value == pytest.approx(closed, rel=1e-14)
+    # a thinned term splits into its constant and survival parts
+    value = phase_integral(None, [(0.4, ()), (0.6, (Exponential(lam),))], [(tau, 0.0)])
+    closed = 0.4 * tau + 0.6 * (1.0 - math.exp(-lam * tau)) / lam
+    assert value == pytest.approx(closed, rel=1e-14)
+
+
+def test_phase_integral_point_masses_only():
+    assert phase_integral(None, [(1.0, ())], [(2.0, 0.5), (5.0, 0.0)]) == 2.0 + 0.5 * 3.0
+    with pytest.raises(ArithmeticError, match="infinite"):
+        phase_integral(None, [(1.0, ())], [(2.0, 0.5)])
+
+
+def test_phase_window_closed_forms():
+    lam, h = 0.8, 1.7
+    for s in (0.0, 0.3, -0.2):
+        lst, moment = phase_window(Exponential(lam), s, h)
+        r = lam + s
+        assert lst == pytest.approx(lam / r * -math.expm1(-r * h), rel=1e-13)
+        closed = lam * (1.0 - math.exp(-r * h) * (1.0 + r * h)) / r**2
+        assert moment == pytest.approx(closed, rel=1e-13)
+    d = Erlang(2.0, 3)
+    lst, moment = phase_window(d, 0.0, 4.0)
+    assert lst == pytest.approx(d.cdf(4.0), abs=1e-15)
+    assert phase_window(d, 0.0, 0.0) == (0.0, 0.0)

@@ -17,12 +17,15 @@ FAST = settings(max_examples=60, derandomize=True, database=None, deadline=None)
 KERNEL = settings(max_examples=40, derandomize=True, database=None, deadline=None)
 
 
-def laws(log_mean_lo=-3.0, log_mean_hi=3.0, deterministic=True):
+def laws(log_mean_lo=-3.0, log_mean_hi=3.0, deterministic=True, max_shape=200):
     """One law per family with the given mean range; hypoexponential
-    rates include (nearly) equal pairs, Erlang shapes reach 200."""
+    rates include (nearly) equal pairs, Erlang shapes reach ``max_shape``."""
     means = st.floats(log_mean_lo, log_mean_hi).map(lambda e: 10.0**e)
     exp = means.map(lambda m: Exponential(1.0 / m))
-    erl = st.builds(lambda m, k: Erlang(k / m, k), means, st.one_of(st.integers(1, 6), st.just(200)))
+    shapes = st.integers(1, min(6, max_shape))
+    if max_shape > 6:
+        shapes = st.one_of(shapes, st.just(max_shape))
+    erl = st.builds(lambda m, k: Erlang(k / m, k), means, shapes)
     split = st.one_of(st.just(0.5), st.floats(0.5 - 1e-9, 0.5 + 1e-9), st.floats(0.05, 0.95))
     hypo = st.builds(lambda m, f: Hypoexponential(1.0 / (m * f), 1.0 / (m * (1.0 - f))), means, split)
     families = [exp, erl, hypo]

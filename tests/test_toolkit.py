@@ -158,6 +158,29 @@ def test_apply_variable_modes():
         apply_variable(cfg, "branch.c1", 0.55)
 
 
+@pytest.mark.parametrize("tie, moved", [("primary", ("a1", "a2", "a3")), ("backup", ("a4", "a5", "a6"))])
+def test_trigger_sweep_keeps_unmoved_triggers(tie, moved):
+    # a distribution-valued trigger on the side that does not move stays as it is
+    from dataclasses import replace
+
+    from rejuvkit.distributions import Exponential
+
+    cfg = load_config("table7_defaults")
+    fixed = "a5" if tie == "primary" else "a2"
+    law = Exponential(1.0 / 30.0)
+    cfg = replace(cfg, params=replace(cfg.params, **{fixed: law}))
+    point = apply_variable(cfg, "trigger_interval", 12.0, tie)
+    for k in ("a1", "a2", "a3", "a4", "a5", "a6"):
+        want = 12.0 if k in moved else law if k == fixed else 30.0
+        assert getattr(point.params, k) == want, k
+    assert point.raw["triggers"] == {
+        k: 12.0 if k in moved else 30.0 for k in ("a1", "a2", "a3", "a4", "a5", "a6") if k != fixed
+    }
+    assert (point.params.c1, point.workload) == (cfg.params.c1, cfg.workload)
+    with pytest.raises(ConfigError, match="negative"):
+        apply_variable(cfg, "trigger_interval", -1.0, tie)
+
+
 def test_fixing_mean_override_keeps_family():
     doc = default_config()
     doc["preset"] = "Fixing_ERL"
@@ -314,8 +337,8 @@ def test_run_validate_and_analyze_when_absorption_unreachable():
 def test_run_validate_detects_corruption(monkeypatch):
     import rejuvkit.model as model
 
-    real = model.stieltjes
-    monkeypatch.setattr(model, "stieltjes", lambda g, d, tol=1e-10, **kw: 0.9 * real(g, d, tol, **kw))
+    real = model.phase_integral
+    monkeypatch.setattr(model, "phase_integral", lambda *args: 0.9 * real(*args))
     results = run_validate(load_config("preset_f_hypo"))
     statuses = {name: status for name, status, _ in results}
     assert statuses["kernel-construction"] == "FAIL"
