@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from .config import ConfigError, bundled_config_names, load_config
-from .model import STATES
+from .model import STATES, TRIGGER_SIDES
 from .numerics import ReducibleChainError
 from .simulator import SimConfig
 from .toolkit import SweepSpec, rows_to_csv, run_analyze, run_simulate, run_sweep, run_validate
@@ -44,7 +44,7 @@ def _build_parser():
     sweep.add_argument("--step", type=float, required=True)
     sweep.add_argument("--metrics", default="availability,mttf", help="comma list: availability,mttf,completion")
     sweep.add_argument("--refine", action="store_true", help="golden-section refinement of the optimum")
-    sweep.add_argument("--tie", default="all", choices=("all", "primary", "backup"))
+    sweep.add_argument("--tie", default="all", choices=("all", *TRIGGER_SIDES))
     sweep.add_argument("--out", help="CSV output path")
 
     simulate = sub.add_parser("simulate", help="Monte Carlo cross-validation of the analytic values")

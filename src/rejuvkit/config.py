@@ -16,7 +16,7 @@ from importlib import resources
 
 from . import distributions as dist
 from .analysis import WorkloadSpec
-from .model import ModelParams
+from .model import TRIGGER_SIDES, TRIGGERS, ModelParams
 from .model import validate as validate_params
 
 __all__ = [
@@ -119,8 +119,7 @@ FITTED_BRANCH = {"c1": 0.6, "c2": 0.2, "c3": 0.2}
 # (fixes x) and the trigger-100 mean at 1696 h (fixes r1).
 FITTED_WORKLOAD = {"x": 590.6201, "r1": 0.566316}
 
-_TRIGGER_KEYS = ("a1", "a2", "a3", "a4", "a5", "a6")
-_TIE_KEYS = ("tied_all", "tied_primary", "tied_backup")
+_TIE_KEYS = ("tied_all", *(f"tied_{side}" for side in TRIGGER_SIDES))
 _WORKLOAD_SCALAR = ("x", "x1", "r1", "r2", "b1", "b2", "t1")
 _TOP_KEYS = ("schema", "notes", "preset", "distributions", "triggers", "branch", "workload")
 
@@ -194,22 +193,21 @@ def resolve_params(doc: dict) -> ModelParams:
     triggers = dict(doc.get("triggers", {"tied_all": 30.0}))
     offsets = {}
     if "tied_all" in triggers:
-        offsets.update({k: triggers["tied_all"] for k in _TRIGGER_KEYS})
-    if "tied_primary" in triggers:
-        offsets.update({k: triggers["tied_primary"] for k in ("a1", "a2", "a3")})
-    if "tied_backup" in triggers:
-        offsets.update({k: triggers["tied_backup"] for k in ("a4", "a5", "a6")})
-    for k in _TRIGGER_KEYS:
+        offsets.update(dict.fromkeys(TRIGGERS, triggers["tied_all"]))
+    for side, keys in TRIGGER_SIDES.items():
+        if f"tied_{side}" in triggers:
+            offsets.update(dict.fromkeys(keys, triggers[f"tied_{side}"]))
+    for k in TRIGGERS:
         if k in triggers:
             offsets[k] = triggers[k]
-    missing = [k for k in _TRIGGER_KEYS if k not in offsets]
+    missing = [k for k in TRIGGERS if k not in offsets]
     if missing:
         _fail("triggers", f"no value for {missing}; give per-trigger values or a tied_* key")
 
     branch = doc.get("branch", dict(FITTED_BRANCH))
     return ModelParams(
         **dists,
-        **{k: float(offsets[k]) for k in _TRIGGER_KEYS},
+        **{k: float(offsets[k]) for k in TRIGGERS},
         c1=float(branch["c1"]),
         c2=float(branch["c2"]),
         c3=float(branch["c3"]),
@@ -257,7 +255,7 @@ def parse_config(doc: dict) -> RunConfig:
     triggers = doc.get("triggers", {})
     if not isinstance(triggers, dict):
         _fail("triggers", "expected an object")
-    _check_keys(triggers, _TRIGGER_KEYS + _TIE_KEYS, "triggers")
+    _check_keys(triggers, TRIGGERS + _TIE_KEYS, "triggers")
     for k, v in triggers.items():
         _number(v, f"triggers.{k}", minimum=0.0)
 

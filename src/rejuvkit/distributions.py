@@ -12,7 +12,7 @@ Samplers draw from an externally owned ``numpy.random.Generator``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -49,12 +49,21 @@ class Distribution:
     """Common interface: cdf/survival/density/mean/lst/sample/phase_type.
 
     Each family is a frozen dataclass whose fields are its parameters,
-    with a class-level ``kind`` naming it in JSON fragments.
+    with a class-level ``kind`` naming it in JSON fragments.  A phase-type
+    family declares only its ``phases``, the rates of the exponential
+    phases it runs through in series, and every float field is one of
+    those rates; the mean, the transform, its pole, the time scaling and
+    the (alpha, T) representation follow from them here.  Each family
+    keeps its own closed-form ``cdf``, ``survival``, ``density`` and
+    ``sample``.
     """
 
     kind: str
-    # lst(s) has its nearest pole at s = -lst_pole (inf: lst is entire)
-    lst_pole = math.inf
+
+    @property
+    def phases(self) -> tuple:
+        """Rates of the exponential phases run through in series."""
+        raise NotImplementedError
 
     def cdf(self, t: float) -> float:
         raise NotImplementedError
@@ -66,23 +75,27 @@ class Distribution:
         raise NotImplementedError
 
     def mean(self) -> float:
-        raise NotImplementedError
+        return math.fsum(1.0 / r for r in self.phases)
+
+    @property
+    def lst_pole(self) -> float:
+        """lst(s) has its nearest pole at s = -lst_pole (inf: lst is entire)."""
+        return min(self.phases)
 
     def lst(self, s: float) -> float:
         """Laplace-Stieltjes transform E[exp(-s T)]."""
-        raise NotImplementedError
+        if s <= -self.lst_pole:
+            raise ValueError(f"LST diverges for s <= {-self.lst_pole} (got {s})")
+        return math.prod(r / (r + s) for r in self.phases)
 
     def lst_derivative(self, s: float) -> float:
         """d/ds E[exp(-s T)]; equals -mean at s = 0."""
-        raise NotImplementedError
-
-    def _check_lst(self, s):
-        if s <= -self.lst_pole:
-            raise ValueError(f"LST diverges for s <= {-self.lst_pole} (got {s})")
+        return -self.lst(s) * math.fsum(1.0 / (r + s) for r in self.phases)
 
     def scaled(self, k: float) -> Distribution:
         """The law in a time unit k times longer: rates x k, durations / k."""
-        raise NotImplementedError
+        rates = (f.name for f in fields(self) if f.type in ("float", float))
+        return replace(self, **{name: getattr(self, name) * k for name in rates})
 
     def with_mean(self, mean: float) -> Distribution:
         """Same family stretched in time to the given mean."""
@@ -93,9 +106,21 @@ class Distribution:
 
     @property
     def phase_type(self):
-        """(alpha, T) with T upper triangular: survival alpha e^{Tt} 1 and
-        density alpha e^{Tt} (-T 1).  Point masses have no such form."""
-        raise NotImplementedError
+        """(alpha, T) with T upper bidiagonal: survival alpha e^{Tt} 1 and
+        density alpha e^{Tt} (-T 1).  Built once per law, read-only.
+        Point masses have no such form."""
+        if not hasattr(self, "_phase_type"):
+            r = np.array(self.phases, dtype=float)
+            alpha = np.zeros(r.size)
+            alpha[0] = 1.0
+            T = np.diag(-r) + np.diag(r[:-1], 1)
+            alpha.setflags(write=False)
+            T.setflags(write=False)
+            # set as an attribute, not in __dict__ as cached_property does:
+            # a materialised instance dict makes every later attribute load
+            # about 3x slower, and sample() reads the rates on each draw
+            object.__setattr__(self, "_phase_type", (alpha, T))
+        return self._phase_type
 
 
 @dataclass(frozen=True)
@@ -106,6 +131,10 @@ class Exponential(Distribution):
     def __post_init__(self):
         if not (self.rate > 0.0 and math.isfinite(self.rate)):
             raise ValueError(f"exponential rate must be positive, got {self.rate}")
+
+    @property
+    def phases(self):
+        return (self.rate,)
 
     def cdf(self, t):
         if t <= 0.0:
@@ -122,29 +151,8 @@ class Exponential(Distribution):
             return 0.0
         return self.rate * math.exp(-self.rate * t)
 
-    def mean(self):
-        return 1.0 / self.rate
-
-    @property
-    def lst_pole(self):
-        return self.rate
-
-    def lst(self, s):
-        self._check_lst(s)
-        return self.rate / (self.rate + s)
-
-    def lst_derivative(self, s):
-        return -self.rate / (self.rate + s) ** 2
-
     def sample(self, rng, size=None):
         return rng.exponential(1.0 / self.rate, size=size)
-
-    def scaled(self, k):
-        return Exponential(self.rate * k)
-
-    @property
-    def phase_type(self):
-        return np.ones(1), np.array([[-self.rate]])
 
 
 @dataclass(frozen=True)
@@ -158,6 +166,10 @@ class Erlang(Distribution):
             raise ValueError(f"erlang rate must be positive, got {self.rate}")
         if not (isinstance(self.shape, int) and self.shape >= 1):
             raise ValueError(f"erlang shape must be a positive integer, got {self.shape}")
+
+    @property
+    def phases(self):
+        return (self.rate,) * self.shape
 
     def cdf(self, t):
         if t <= 0.0:
@@ -195,35 +207,12 @@ class Erlang(Distribution):
         # in log space: x**(k-1) and (k-1)! overflow for large shapes
         return self.rate * math.exp((k - 1) * math.log(x) - x - math.lgamma(k))
 
-    def mean(self):
-        return self.shape / self.rate
-
-    @property
-    def lst_pole(self):
-        return self.rate
-
-    def lst(self, s):
-        self._check_lst(s)
-        return (self.rate / (self.rate + s)) ** self.shape
-
-    def lst_derivative(self, s):
-        return -self.shape * self.rate**self.shape / (self.rate + s) ** (self.shape + 1)
-
     def sample(self, rng, size=None):
         # sum of `shape` exponential phases
         if size is None:
             return rng.exponential(1.0 / self.rate, size=self.shape).sum()
         draws = rng.exponential(1.0 / self.rate, size=(size, self.shape))
         return draws.sum(axis=1)
-
-    def scaled(self, k):
-        return Erlang(self.rate * k, self.shape)
-
-    @property
-    def phase_type(self):
-        # `shape` phases in series, each left at `rate`
-        k, r = self.shape, self.rate
-        return np.eye(k)[0], np.diag(np.full(k, -r)) + np.diag(np.full(k - 1, r), 1)
 
 
 @dataclass(frozen=True)
@@ -245,6 +234,10 @@ class Hypoexponential(Distribution):
         for r in (self.rate1, self.rate2):
             if not (r > 0.0 and math.isfinite(r)):
                 raise ValueError(f"hypoexponential rates must be positive, got {r}")
+
+    @property
+    def phases(self):
+        return (self.rate1, self.rate2)
 
     def _decay(self, t):
         """(a, b, e^{-at}, g) for t > 0."""
@@ -269,22 +262,6 @@ class Hypoexponential(Distribution):
         a, b, ea, g = self._decay(t)
         return -a * b * ea * g
 
-    def mean(self):
-        return 1.0 / self.rate1 + 1.0 / self.rate2
-
-    @property
-    def lst_pole(self):
-        return min(self.rate1, self.rate2)
-
-    def lst(self, s):
-        self._check_lst(s)
-        return (self.rate1 / (self.rate1 + s)) * (self.rate2 / (self.rate2 + s))
-
-    def lst_derivative(self, s):
-        a, b = self.rate1, self.rate2
-        fa, fb = a / (a + s), b / (b + s)
-        return -fa / (a + s) * fb - fa * fb / (b + s)
-
     def sample(self, rng, size=None):
         if size is None:
             return rng.exponential(1.0 / self.rate1) + rng.exponential(1.0 / self.rate2)
@@ -292,20 +269,13 @@ class Hypoexponential(Distribution):
             1.0 / self.rate2, size=size
         )
 
-    def scaled(self, k):
-        return Hypoexponential(self.rate1 * k, self.rate2 * k)
-
-    @property
-    def phase_type(self):
-        a, b = self.rate1, self.rate2
-        return np.array([1.0, 0.0]), np.array([[-a, a], [0.0, -b]])
-
 
 @dataclass(frozen=True)
 class Deterministic(Distribution):
     """Point mass at ``offset``: CDF is the unit step u(t - offset)."""
 
     kind = "det"
+    lst_pole = math.inf
     offset: float  # hours
 
     def __post_init__(self):

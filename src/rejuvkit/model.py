@@ -23,7 +23,9 @@ other events, and mean sojourn times integrate the full survival
 product.  Every timed law is phase-type or a point mass, so each
 integral is evaluated exactly by :func:`numerics.phase_integral`: the
 trigger steps cut it into segments, and the thinned survivals expand
-into a few products of phase-type survivals.
+into a few products of phase-type survivals.  A kernel row is the plain
+sum of its events' integrals, divided by that sum once it is checked to
+be 1; no entry is derived from its siblings.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ __all__ = [
     "SystemState",
     "STATES",
     "KERNEL_TARGETS",
+    "TRIGGER_SIDES",
+    "TRIGGERS",
     "ModelParams",
     "ModelConsistencyError",
     "transition_matrix",
@@ -106,12 +110,10 @@ KERNEL_TARGETS = {
     11: frozenset({7}),
 }
 
-# Rows whose single entry is structurally 1.
-_CERTAIN_ROWS = {0: 8, 7: 1, 10: 0, 11: 7}
-
-# Rows closed by subtraction (residual target per row); the siblings are
-# integrated and the residual entry is 1 minus their sum.
-_RESIDUAL_TARGET = {1: 9, 3: 2, 4: 9, 5: 9, 6: 2, 8: 2, 9: 11}
+# Trigger delays by the host whose aging they answer: a1..a3 follow aging
+# of the primary, a4..a6 aging of the backup.
+TRIGGER_SIDES = {"primary": ("a1", "a2", "a3"), "backup": ("a4", "a5", "a6")}
+TRIGGERS = TRIGGER_SIDES["primary"] + TRIGGER_SIDES["backup"]
 
 _ROW_SUM_TOL = 1e-8
 
@@ -241,52 +243,37 @@ def _entry(events, j):
             else:
                 acc *= 1.0 - other.thin * other.dist.cdf(t)
         return acc
-    return ev.thin * phase_integral(ev.dist, *_race(events, skip=j))
+    # an integral of true size ~1e-35 can round to a few -1e-17
+    return max(0.0, ev.thin * phase_integral(ev.dist, *_race(events, skip=j)))
 
 
 def transition_matrix(p: ModelParams) -> np.ndarray:
     """One-step transition probability matrix of the embedded DTMC.
 
-    Every reachable entry is first computed by its competing-risks
-    integral; a row whose computed sum strays from 1 by more than 1e-8
-    raises :class:`ModelConsistencyError`.  The designated residual entry
-    of each multi-event row is then re-closed by subtraction (and clamped
-    to [0, 1]) so rows sum to 1 exactly.
+    Each entry is the exact competing-risks integral of its event, so a
+    row is the plain sum of its events' entries.  A row whose sum strays
+    from 1 by more than 1e-8 raises :class:`ModelConsistencyError`; the
+    row is then divided by its sum, which removes the rounding.
     """
     p.require_valid()
-    events = state_events(p)
     P = np.zeros((N_STATES, N_STATES))
-    for i, evs in enumerate(events):
-        if i in _CERTAIN_ROWS:
-            P[i, _CERTAIN_ROWS[i]] = 1.0
-            continue
+    for i, evs in enumerate(state_events(p)):
         for j, ev in enumerate(evs):
             P[i, ev.target] += _entry(evs, j)
-        gap = abs(P[i].sum() - 1.0)
-        if gap > _ROW_SUM_TOL:
+        total = P[i].sum()
+        if abs(total - 1.0) > _ROW_SUM_TOL:
             raise ModelConsistencyError(
-                f"kernel row {i} ({STATES[i].label}) sums to {P[i].sum():.12f} "
-                f"before residual closure (off by {gap:.3e})"
+                f"kernel row {i} ({STATES[i].label}) sums to {total:.12f} "
+                f"before normalisation (off by {abs(total - 1.0):.3e})"
             )
-        if i in _RESIDUAL_TARGET:
-            r = _RESIDUAL_TARGET[i]
-            P[i, r] = min(1.0, max(0.0, 1.0 - (P[i].sum() - P[i, r])))
-        # rescale the rounding left by the closure (and any clamping slack)
-        # so the row closes exactly
-        P[i] /= P[i].sum()
+        P[i] /= total
     return P
 
 
 def sojourn_times(p: ModelParams) -> np.ndarray:
     """Mean sojourn time per state: integral of the survival product."""
     p.require_valid()
-    hours = np.zeros(N_STATES)
-    for i, evs in enumerate(state_events(p)):
-        if len(evs) == 1:
-            hours[i] = evs[0].dist.mean()
-        else:
-            hours[i] = phase_integral(None, *_race(evs))
-    return hours
+    return np.array([phase_integral(None, *_race(evs)) for evs in state_events(p)])
 
 
 def validate(p: ModelParams) -> list[str]:
@@ -294,7 +281,7 @@ def validate(p: ModelParams) -> list[str]:
     problems = []
     for f in fields(ModelParams):
         value = getattr(p, f.name)
-        if f.name.startswith("a") and len(f.name) == 2:
+        if f.name in TRIGGERS:
             if isinstance(value, Distribution):
                 continue
             if not (isinstance(value, (int, float)) and math.isfinite(value)):
@@ -320,6 +307,6 @@ def scale_time(p: ModelParams, k: float) -> ModelParams:
         v = getattr(p, f.name)
         if isinstance(v, Distribution):
             changes[f.name] = v.scaled(k)
-        elif f.name.startswith("a") and len(f.name) == 2:
+        elif f.name in TRIGGERS:
             changes[f.name] = v / k
     return replace(p, **changes)

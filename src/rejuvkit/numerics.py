@@ -26,6 +26,10 @@ __all__ = [
     "absorbing_visits",
 ]
 
+_TINY = np.finfo(float).tiny
+_STOCHASTIC_TOL = 1e-9  # largest row-sum gap dtmc_stationary accepts
+
+
 class ReducibleChainError(ValueError):
     """The chain has no unique stationary vector; names the offending states."""
 
@@ -86,22 +90,58 @@ def _contract(rows, x):
     return float(x[0])
 
 
+def _expm_triangular(M):
+    """e^M of an upper-triangular M, exact to rounding at nearly equal diagonals.
+
+    scipy's expm squares triangular input itself and resets its
+    superdiagonal with the plain quotient (e^y - e^x)/(y - x), which
+    cancels when x and y nearly agree.  Here expm only takes the Pade
+    step, on M/2^s with 1-norm at most 2: there it squares nothing and
+    is exact to rounding (from norm 4 on, its error, squared up, passed
+    1e-15 at nearly equal rates).  The squaring is done here, and after
+    each one the diagonal is reset to e^x and the superdiagonal to
+    m e^{max(x, y)} (1 - e^{-|y - x|})/|y - x|, which has no cancellation
+    (Al-Mohy & Higham 2009, SIAM J. Matrix Anal. Appl. 31:970, Code
+    Fragment 2.1).
+    """
+    norm = np.abs(M).sum(axis=0).max()
+    if norm <= 2.0:  # the Pade step alone: nothing to square
+        return expm(M)
+    squarings = math.ceil(math.log2(norm / 2.0))
+    scale = 0.5 ** np.arange(squarings, -1, -1.0)[:, None]
+    x = scale * M.diagonal()
+    lo, hi = x[:, :-1], x[:, 1:]
+    # a zero gap reads as the smallest normal one: the quotient is then 1
+    gap = np.maximum(np.abs(hi - lo), _TINY)
+    upper = scale * M.diagonal(1) * np.exp(np.maximum(lo, hi)) * (-np.expm1(-gap) / gap)
+    diagonal = np.exp(x)
+    E = expm(M * scale[0, 0])
+    n = M.shape[0]
+    for k in range(squarings + 1):
+        if k:
+            E = E @ E
+        flat = E.reshape(-1)
+        flat[:: n + 1] = diagonal[k]
+        flat[1 :: n + 1] = upper[k]
+    return E
+
+
 # holds one model build's (law, segment length) pairs, met in several rows
 @functools.lru_cache(maxsize=32)
 def _segment(d, length):
     """(e^{TL}, I - e^{TL}) of a phase-type law over a segment of length L.
 
-    Both come from one block exponential: expm of [[T, I], [0, 0]] L holds
-    e^{TL} and the integral Phi of e^{Tu} over [0, L], and
+    Both come from one block exponential: e^N with N = [[TL, I], [0, 0]]
+    holds e^{TL} and Phi/L, Phi the integral of e^{Tu} over [0, L], and
     I - e^{TL} = -T Phi carries no cancellation when L is short.
     """
     _, T = d.phase_type
     n = T.shape[0]
-    M = np.zeros((2 * n, 2 * n))
-    M[:n, :n] = T
-    M[:n, n:] = np.eye(n)
-    E = expm(M * length)
-    D = -T @ E[:n, n:]
+    N = np.zeros((2 * n, 2 * n))
+    N[:n, :n] = T * length
+    N[:n, n:] = np.eye(n)
+    E = _expm_triangular(N)
+    D = -N[:n, :n] @ E[:n, n:]
     E.setflags(write=False)
     D.setflags(write=False)
     return E[:n, :n], D
@@ -185,20 +225,21 @@ def phase_window(d, s: float, h: float) -> tuple[float, float]:
 
     Returns (integral of e^{-su} dF(u), integral of u e^{-su} dF(u)), both
     over [0, h], from one block exponential (Van Loan 1978): with
-    A = T - sI and t the exit vector, expm of
-    [[A, I, 0], [0, A, t], [0, 0, 0]] h holds the integral of e^{Au} t
-    in its (2, 3) block and that of u e^{Au} t in its (1, 3) block.
+    A = T - sI and t the exit vector, e^N with
+    N = [[Ah, I, 0], [0, Ah, th], [0, 0, 0]] holds the integral of
+    e^{Au} t in its (2, 3) block and that of u e^{Au} t, divided by h,
+    in its (1, 3) block.
     """
     alpha, T = d.phase_type
     n = T.shape[0]
-    A = T - s * np.eye(n)
-    M = np.zeros((2 * n + 1, 2 * n + 1))
-    M[:n, :n] = A
-    M[:n, n : 2 * n] = np.eye(n)
-    M[n : 2 * n, n : 2 * n] = A
-    M[n : 2 * n, 2 * n] = -T.sum(axis=1)
-    E = expm(M * h)
-    return float(alpha @ E[n : 2 * n, 2 * n]), float(alpha @ E[:n, 2 * n])
+    Ah = (T - s * np.eye(n)) * h
+    N = np.zeros((2 * n + 1, 2 * n + 1))
+    N[:n, :n] = Ah
+    N[:n, n : 2 * n] = np.eye(n)
+    N[n : 2 * n, n : 2 * n] = Ah
+    N[n : 2 * n, 2 * n] = -T.sum(axis=1) * h
+    E = _expm_triangular(N)
+    return float(alpha @ E[n : 2 * n, 2 * n]), h * float(alpha @ E[:n, 2 * n])
 
 
 def reachability(P: np.ndarray) -> np.ndarray:
@@ -221,7 +262,7 @@ def _closed_classes(P: np.ndarray):
     return sorted(list(c) for c in classes)
 
 
-def dtmc_stationary(P: np.ndarray, tol_row: float = 1e-9) -> np.ndarray:
+def dtmc_stationary(P: np.ndarray) -> np.ndarray:
     """Stationary vector of a row-stochastic matrix: v = vP, sum(v) = 1.
 
     Solved densely by replacing one balance equation with the
@@ -234,7 +275,7 @@ def dtmc_stationary(P: np.ndarray, tol_row: float = 1e-9) -> np.ndarray:
     if P.shape != (n, n):
         raise ValueError(f"square matrix required, got {P.shape}")
     rows = P.sum(axis=1)
-    bad = np.nonzero(np.abs(rows - 1.0) > tol_row)[0]
+    bad = np.nonzero(np.abs(rows - 1.0) > _STOCHASTIC_TOL)[0]
     if bad.size:
         raise ValueError(f"matrix is not row-stochastic in rows {bad.tolist()} (sums {rows[bad]})")
 

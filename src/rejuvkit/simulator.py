@@ -111,32 +111,31 @@ def _occupancy_rep(events, rng, horizon, warmup):
     return occupancy / (horizon - warmup)
 
 
+def _occupancy_rows(p: ModelParams, c: SimConfig, tag: int) -> np.ndarray:
+    """Per-replication occupancy fractions, one row of 12 per replication."""
+    p.require_valid()
+    c.require_valid()
+    events = state_events(p)
+    rows = np.empty((c.replications, len(events)))
+    for rep in range(c.replications):
+        rng = _rng(c.seed, tag, rep)
+        rows[rep] = _occupancy_rep(events, rng, c.horizon, c.warmup)
+    return rows
+
+
 def simulate_availability(p: ModelParams, c: SimConfig) -> Estimate:
     """Up-time fraction over the horizon, averaged across replications.
 
     Accumulates the (rare) downtime and returns its complement: exact
     when no failure ever fires, and better conditioned in general.
     """
-    p.require_valid()
-    c.require_valid()
-    events = state_events(p)
-    values = []
-    for rep in range(c.replications):
-        rng = _rng(c.seed, _TAG_AVAILABILITY, rep)
-        occ = _occupancy_rep(events, rng, c.horizon, c.warmup)
-        values.append(1.0 - occ[10] - occ[11])
-    return _estimate("availability", values)
+    rows = _occupancy_rows(p, c, _TAG_AVAILABILITY)
+    return _estimate("availability", 1.0 - rows[:, 10] - rows[:, 11])
 
 
 def simulate_occupancy(p: ModelParams, c: SimConfig):
     """Per-state occupancy fractions: (means, standard errors), length 12."""
-    p.require_valid()
-    c.require_valid()
-    events = state_events(p)
-    rows = np.empty((c.replications, len(events)))
-    for rep in range(c.replications):
-        rng = _rng(c.seed, _TAG_OCCUPANCY, rep)
-        rows[rep] = _occupancy_rep(events, rng, c.horizon, c.warmup)
+    rows = _occupancy_rows(p, c, _TAG_OCCUPANCY)
     means = rows.mean(axis=0)
     stderr = rows.std(axis=0, ddof=1) / math.sqrt(c.replications)
     return means, stderr

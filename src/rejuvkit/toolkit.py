@@ -21,7 +21,7 @@ from . import ctmc
 from .analysis import completion_lsts, completion_time, metrics_report
 from .config import ConfigError, RunConfig
 from .distributions import Distribution, Exponential, to_json
-from .model import KERNEL_TARGETS, validate
+from .model import KERNEL_TARGETS, TRIGGER_SIDES, TRIGGERS, validate
 from .simulator import SimConfig, simulate_availability, simulate_completion, simulate_mttf
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
 
 CSV_HEADER = ("variable", "value", "metric", "analytic", "sim_mean", "ci_low", "ci_high")
 METRICS = ("availability", "mttf", "completion")
-_TRIGGERS = ("a1", "a2", "a3", "a4", "a5", "a6")
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -70,7 +69,7 @@ class SweepSpec:
         bad = [m for m in self.metrics if m not in METRICS]
         if bad:
             raise ConfigError(f"unknown metrics {bad} (known: {list(METRICS)})")
-        if self.tie not in ("all", "primary", "backup"):
+        if self.tie not in ("all", *TRIGGER_SIDES):
             raise ConfigError(f"tie mode must be all/primary/backup, got {self.tie!r}")
 
     def grid(self):
@@ -81,13 +80,13 @@ class SweepSpec:
 def apply_variable(cfg: RunConfig, variable: str, value: float, tie: str = "all") -> RunConfig:
     """Config with the swept variable set to ``value``."""
     if variable == "trigger_interval":
-        moved = {"all": _TRIGGERS, "primary": _TRIGGERS[:3], "backup": _TRIGGERS[3:]}[tie]
+        moved = TRIGGERS if tie == "all" else TRIGGER_SIDES[tie]
         params = replace(cfg.params, **{k: float(value) for k in moved})
         problems = validate(params)
         if problems:
             raise ConfigError("; ".join(problems))
         # the unmoved triggers keep their values; raw can hold only numbers
-        triggers = {k: getattr(params, k) for k in _TRIGGERS}
+        triggers = {k: getattr(params, k) for k in TRIGGERS}
         numeric = {k: v for k, v in triggers.items() if not isinstance(v, Distribution)}
         return replace(cfg, params=params, raw={**cfg.raw, "triggers": numeric})
     if variable == "fixing_mean":
@@ -303,7 +302,7 @@ def run_validate(cfg: RunConfig):
             c3=0.0,
             **{
                 k: Exponential(1.0 / max(float(getattr(cfg.params, k)), 1e-6))
-                for k in ("a1", "a2", "a3", "a4", "a5", "a6")
+                for k in TRIGGERS
             },
         )
         a_ct = ctmc.availability_ctmc(oracle)

@@ -15,18 +15,17 @@ import math
 import numpy as np
 
 from rejuvkit.distributions import Deterministic, Distribution, Exponential
-from rejuvkit.model import (
-    _CERTAIN_ROWS,
-    _RESIDUAL_TARGET,
-    N_STATES,
-    ModelConsistencyError,
-    ModelParams,
-    state_events,
-)
+from rejuvkit.model import N_STATES, ModelConsistencyError, ModelParams, state_events
 
 DEFAULT_TOL = 1e-10  # absolute quadrature tolerance
 TAIL_MASS = 1e-12  # survival mass discarded when truncating improper integrals
 _MAX_DEPTH = 60
+
+# Quadrature leaves about 1e-10 in each kernel entry, so the oracle closes
+# its rows: rows whose single entry is structurally 1, and per multi-event
+# row the residual target whose entry is 1 minus its siblings' sum.
+_CERTAIN_ROWS = {0: 8, 7: 1, 10: 0, 11: 7}
+_RESIDUAL_TARGET = {1: 9, 3: 2, 4: 9, 5: 9, 6: 2, 8: 2, 9: 11}
 
 
 class QuadratureError(ArithmeticError):

@@ -189,6 +189,14 @@ def test_phase_type_reproduces_the_law(d):
         assert row @ -T.sum(axis=1) == pytest.approx(d.density(t), rel=1e-12)
 
 
+@pytest.mark.parametrize("d", [Exponential(0.8), Erlang(2.0, 3), Hypoexponential(0.7, 1.9)])
+def test_phase_type_is_built_once_and_read_only(d):
+    alpha, T = d.phase_type
+    again = d.phase_type
+    assert again[0] is alpha and again[1] is T
+    assert not alpha.flags.writeable and not T.flags.writeable
+
+
 # --- sampling --------------------------------------------------------------
 
 

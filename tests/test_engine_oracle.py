@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rejuvkit.analysis as analysis
-from rejuvkit import WorkloadSpec, completion_time, sojourn_times, transition_matrix
+from rejuvkit import (
+    Hypoexponential,
+    WorkloadSpec,
+    completion_time,
+    sojourn_times,
+    transition_matrix,
+)
 from rejuvkit.config import bundled_config_names, load_config
 from tests import quadrature
 from tests.conftest import make_params
@@ -68,3 +74,12 @@ def test_engine_agrees_with_quadrature_property(
     )
     with pytest.MonkeyPatch.context() as monkeypatch:
         _assert_agree(p, WorkloadSpec(x=x, r1=r1), monkeypatch)
+
+
+@pytest.mark.parametrize("gap", [1e-9, 1e-12, 1e-15])
+def test_nearly_equal_failure_rates_build(gap):
+    # a long trigger makes the segment exponentials square many times;
+    # scipy's squaring lost the hypoexponential's off-diagonal entry there
+    # and the kernel rows missed 1 by up to 1e-4
+    p = make_params(trigger=1e4, failure=Hypoexponential(0.0013674, 0.0013674 * (1.0 + gap)))
+    assert np.abs(transition_matrix(p) - quadrature.transition_matrix(p)).max() <= KERNEL_ABS

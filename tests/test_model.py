@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from rejuvkit import (
     validate,
 )
 from rejuvkit.analysis import metrics_report
+from rejuvkit.config import load_config
 from tests.conftest import make_params
 
 
@@ -49,6 +51,16 @@ def test_migration_row_exponential_race(rng):
     assert P[2, 10] == pytest.approx(1.0 - closed, abs=1e-10)
     wins = Exponential(kappa).sample(rng, 1_000_000) < Exponential(omega).sample(rng, 1_000_000)
     assert P[2, 7] == pytest.approx(wins.mean(), abs=5e-4)
+
+
+def test_small_entry_keeps_its_relative_precision():
+    # P[9, 11] is the failure law's transform at the migration rate; as 1
+    # minus its O(1) sibling it came out 5.4e-8 relative off
+    p = load_config("preset_f_hypo").params
+    a, b = Fraction(p.fail_migrating_backup.rate1), Fraction(p.fail_migrating_backup.rate2)
+    s = Fraction(p.migration.rate)
+    exact = float(a / (a + s) * b / (b + s))
+    assert transition_matrix(p)[9, 11] == pytest.approx(exact, rel=1e-13, abs=0.0)
 
 
 def test_zero_trigger_wins_race_certainly():

@@ -1,11 +1,14 @@
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
-from rejuvkit import Deterministic, Erlang, Exponential
+from rejuvkit import Deterministic, Erlang, Exponential, Hypoexponential
 from rejuvkit.numerics import (
     ReducibleChainError,
+    _segment,
     absorbing_visits,
     dtmc_stationary,
     kron_sum_solve,
@@ -269,3 +272,67 @@ def test_phase_window_closed_forms():
     lst, moment = phase_window(d, 0.0, 4.0)
     assert lst == pytest.approx(d.cdf(4.0), abs=1e-15)
     assert phase_window(d, 0.0, 0.0) == (0.0, 0.0)
+
+
+# --- nearly equal rates: references at 60 digits ---------------------------
+
+A_RATE = 0.0013674
+NEAR_EQUAL = [
+    Hypoexponential(A_RATE, A_RATE * (1.0 + g)) for g in (1e-15, 1e-12, 1e-9, 1e-6, 3.0)
+] + [Hypoexponential(A_RATE * (1.0 + 1e-12), A_RATE)]
+
+
+def _poisson(x, j):
+    return (-x).exp() * x**j / math.factorial(j)
+
+
+def _segment_reference(d, length):
+    """e^{TL} entries by closed form: the Poisson weights for an Erlang law,
+    and for two phases (e^{-aL} - e^{-bL}) a/(b - a) off the diagonal."""
+    L = Decimal(length)
+    if isinstance(d, Erlang):
+        x = Decimal(d.rate) * L
+        n = d.shape
+        return [[_poisson(x, j - i) if j >= i else 0 for j in range(n)] for i in range(n)]
+    a, b = Decimal(d.rate1), Decimal(d.rate2)
+    ea, eb = (-a * L).exp(), (-b * L).exp()
+    return [[ea, a * (ea - eb) / (b - a)], [0, eb]]
+
+
+def _window_reference(d, s, h):
+    """(transform, moment) over [0, h] by closed form."""
+    s, h = Decimal(s), Decimal(h)
+    if isinstance(d, Erlang):
+        r, k = Decimal(d.rate), d.shape
+        c = r + s
+        tail = lambda m: 1 - sum(_poisson(c * h, j) for j in range(m))
+        return (r / c) ** k * tail(k), k / r * (r / c) ** (k + 1) * tail(k + 1)
+    a, b = Decimal(d.rate1), Decimal(d.rate2)
+    g0 = lambda c: (1 - (-c * h).exp()) / c
+    g1 = lambda c: (1 - (-c * h).exp() * (1 + c * h)) / c**2
+    w = a * b / (b - a)
+    return w * (g0(a + s) - g0(b + s)), w * (g1(a + s) - g1(b + s))
+
+
+@pytest.mark.parametrize("d", NEAR_EQUAL + [Erlang(0.004, 5), Erlang(0.004, 20)])
+@pytest.mark.parametrize("length", [1e-3, 30.0, 1000.0, 9996.9])
+def test_segment_exact_at_nearly_equal_rates(d, length):
+    # scipy's expm squares triangular input with a superdiagonal quotient
+    # that cancels as the rates meet: 8e-6 off at a relative gap of 1e-12
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        ref = np.array([[float(v) for v in row] for row in _segment_reference(d, length)])
+    E, D = _segment(d, length)
+    assert np.abs(E - ref).max() <= 1e-15
+    assert np.abs(D - (np.eye(len(ref)) - ref)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("d", NEAR_EQUAL + [Erlang(0.004, 5), Erlang(0.004, 20)])
+@pytest.mark.parametrize("s, h", [(0.0, 300.0), (0.0, 1e4), (0.01, 1e4), (1e-3, 2000.0)])
+def test_phase_window_exact_at_nearly_equal_rates(d, s, h):
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        lst_ref, moment_ref = (float(v) for v in _window_reference(d, s, h))
+    lst, moment = phase_window(d, s, h)
+    assert abs(lst - lst_ref) <= 1e-15
+    assert abs(moment - moment_ref) <= 1e-15 * max(1.0, abs(moment_ref))
