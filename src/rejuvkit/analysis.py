@@ -12,12 +12,17 @@ Completion time solves the pair of Laplace-Stieltjes fixed-point
 equations for the two failure-attribution cases and extracts the mean
 as minus the derivative at zero.  :func:`completion_cases` resolves the
 two cases once per call; the transforms, both derivative routes and the
-simulator all read them.  The windowed transforms and moments of the
+simulator all read them.  One pass over a case gives its completion and
+restart masses A(s), B(s) and their derivatives; the pair is lower
+triangular and is back-substituted, so one solve gives both transforms
+and both derivatives.  The windowed transforms and moments of the
 failure laws are exact: a point mass counts when its offset lies in the
 window, and a phase-type law takes one block matrix exponential
-(:func:`numerics.phase_window`).  The default route differentiates the
-assembled transform in closed form; ``method="richardson"`` (finite
-differences with one Richardson step) is kept as a cross-check.
+(:func:`numerics.phase_window`, which memoises them).  The default route
+reads the derivative at zero from that solve; ``method="richardson"``
+(finite differences with one Richardson step over the same pair solves)
+is kept as a cross-check, its step halved until the stencil stays clear
+of the pole where B(s) = 1.
 
 Completion-time model, per case
 -------------------------------
@@ -60,7 +65,7 @@ __all__ = [
     "metrics_report",
 ]
 
-_FD_STEP = 1e-4  # base step for the Richardson derivative at s = 0
+_FD_STEP = 1e-4  # largest base step of the Richardson derivative at s = 0
 
 
 class CompletionDivergenceError(ArithmeticError):
@@ -178,7 +183,6 @@ class _Case:
     pre_fail: Distribution
     post: tuple  # ((mass, law) for the three post-trigger branches)
     overhead: Distribution
-    pre_mass: float
 
     @property
     def t0(self):
@@ -220,7 +224,7 @@ def completion_cases(p: ModelParams, w: WorkloadSpec) -> tuple[_Case, _Case]:
                 "failure laws for this workload configuration"
             )
         post = ((m_reboot, laws[0]), (m_fix, laws[1]), (max(m_rest, 0.0), laws[2]))
-        return _Case(tau, delta, aging, pre_fail, post, overhead, pre_mass)
+        return _Case(tau, delta, aging, pre_fail, post, overhead)
 
     primary = build(
         a1,
@@ -245,65 +249,59 @@ def completion_cases(p: ModelParams, w: WorkloadSpec) -> tuple[_Case, _Case]:
     return primary, backup
 
 
-def _window(d: Distribution, s: float, hi: float, cache: dict) -> tuple[float, float]:
+def _window(d: Distribution, s: float, hi: float) -> tuple[float, float]:
     """Integrals of exp(-s h) dF(h) and h exp(-s h) dF(h) over [0, hi].
 
     A point mass counts when its offset lies in (0, hi] or is 0."""
-    key = (id(d), s, hi)
-    if key not in cache:
-        if isinstance(d, Deterministic):
-            lst = math.exp(-s * d.offset) if d.offset <= hi else 0.0
-            cache[key] = (lst, d.offset * lst)
-        else:
-            cache[key] = phase_window(d, s, hi)
-    return cache[key]
+    if isinstance(d, Deterministic):
+        lst = math.exp(-s * d.offset) if d.offset <= hi else 0.0
+        return lst, d.offset * lst
+    return phase_window(d, s, hi)
 
 
-def _ab(case: _Case, s: float, cache: dict):
-    """Completion mass A(s) and restart mass B(s) of one case."""
+def _ab(case: _Case, s: float):
+    """(A, B, A', B') of one case at s: completion and restart masses and
+    their derivatives in s.
+
+    A = e^{-s T0} sum m S(delta) and B = G(s) J(s), with G the overhead and
+    aging transforms and J the windowed failure transforms; from a window's
+    (transform W, moment M), J' = -M_pre - e^{-s tau} sum m (tau W + M).
+    """
     surv = sum(m * (1.0 - law.cdf(case.delta)) for m, law in case.post)
     A = math.exp(-s * case.t0) * surv
-    J = _window(case.pre_fail, s, case.tau, cache)[0]
-    J += math.exp(-s * case.tau) * sum(
-        m * _window(law, s, case.delta, cache)[0] for m, law in case.post
-    )
-    B = case.overhead.lst(s) * case.aging.lst(s) * J
-    return A, B
+    J, moment = _window(case.pre_fail, s, case.tau)
+    post = [(m, *_window(law, s, case.delta)) for m, law in case.post]
+    lag = math.exp(-s * case.tau)
+    J += lag * sum(m * W for m, W, _ in post)
+    dJ = -moment - lag * sum(m * (case.tau * W + M) for m, W, M in post)
+    g1, g2 = case.overhead.lst(s), case.aging.lst(s)
+    dG = case.overhead.lst_derivative(s) * g2 + g1 * case.aging.lst_derivative(s)
+    return A, g1 * g2 * J, -case.t0 * A, dG * J + g1 * g2 * dJ
 
 
-def _ab_derivative(case: _Case, cache: dict):
-    """(A(0), B(0), A'(0), B'(0)) with the derivatives taken analytically."""
-    A0, B0 = _ab(case, 0.0, cache)
-    dA = -case.t0 * A0
-    J0 = B0  # overhead.lst(0) * aging.lst(0) == 1
-    dJ = -_window(case.pre_fail, 0.0, case.tau, cache)[1]
-    for m, law in case.post:
-        w0, moment = _window(law, 0.0, case.delta, cache)
-        dJ += m * (-case.tau * w0 - moment)
-    dB = (case.overhead.lst_derivative(0.0) + case.aging.lst_derivative(0.0)) * J0 + dJ
-    return A0, B0, dA, dB
+def _pair(cases, w: WorkloadSpec, s: float):
+    """((phi1, phi2), (phi1', phi2')) of the two case transforms at s.
 
-
-def _solve_pair(cases, w: WorkloadSpec, s: float, cache: dict):
-    """Joint solve of the two case transforms at one point s."""
-    A1, B1 = _ab(cases[0], s, cache)
-    A2, B2 = _ab(cases[1], s, cache)
+    The pair is lower triangular: phi1 = A1 / (1 - B1), and the backup
+    case is A2 + B2 phi1 or, restarting into itself, A2 / (1 - B2).
+    """
+    (A1, B1, dA1, dB1), (A2, B2, dA2, dB2) = (_ab(case, s) for case in cases)
     if B1 >= 1.0 or (not w.backup_restart_via_primary and B2 >= 1.0):
         raise CompletionDivergenceError(
             f"restart mass B(s={s}) >= 1: the execution never completes under "
             "this workload/failure configuration"
         )
+    phi1 = A1 / (1.0 - B1)
+    d1 = (dA1 + phi1 * dB1) / (1.0 - B1)
     if w.backup_restart_via_primary:
-        coeff = np.array([[1.0 - B1, 0.0], [-B2, 1.0]])
-    else:
-        coeff = np.array([[1.0 - B1, 0.0], [0.0, 1.0 - B2]])
-    phi = np.linalg.solve(coeff, np.array([A1, A2]))
-    return float(phi[0]), float(phi[1])
+        return (phi1, A2 + B2 * phi1), (d1, dA2 + dB2 * phi1 + B2 * d1)
+    phi2 = A2 / (1.0 - B2)
+    return (phi1, phi2), (d1, (dA2 + phi2 * dB2) / (1.0 - B2))
 
 
 def completion_lsts(p: ModelParams, w: WorkloadSpec, s: float) -> tuple[float, float]:
     """Transforms of the (primary, backup) completion times at s >= 0."""
-    return _solve_pair(completion_cases(p, w), w, s, {})
+    return _pair(completion_cases(p, w), w, s)[0]
 
 
 def completion_lst_primary(p: ModelParams, w: WorkloadSpec, s: float) -> float:
@@ -316,31 +314,23 @@ def completion_lst_backup(p: ModelParams, w: WorkloadSpec, s: float) -> float:
     return completion_lsts(p, w, s)[1]
 
 
-def _mean_richardson(cases, w, which, cache):
-    # the step stays well inside the nearest pole of the full-line transforms
-    pole = min(d.lst_pole for case in cases for d in (case.aging, case.overhead))
-    h0 = min(_FD_STEP, 0.4 * pole)
-
+def _mean_richardson(cases, w: WorkloadSpec):
     def phi(s):
-        return _solve_pair(cases, w, s, cache)[which]
+        return np.array(_pair(cases, w, s)[0])
 
     def central(h):
         return (-phi(2 * h) + 8.0 * phi(h) - 8.0 * phi(-h) + phi(-2 * h)) / (12.0 * h)
 
-    d1 = central(h0)
-    d2 = central(h0 / 2.0)
-    return -(16.0 * d2 - d1) / 15.0
-
-
-def _mean_analytic(cases, w, cache):
-    A1, B1, dA1, dB1 = _ab_derivative(cases[0], cache)
-    A2, B2, dA2, dB2 = _ab_derivative(cases[1], cache)
-    e1 = -(dA1 + dB1) / (1.0 - B1)
-    if w.backup_restart_via_primary:
-        e2 = -dA2 - dB2 + B2 * e1
-    else:
-        e2 = -(dA2 + dB2) / (1.0 - B2)
-    return e1, e2
+    # the stencil reaches s = -2h: inside the aging and overhead poles, and,
+    # for each case that restarts into itself, far from the pole of
+    # phi = A / (1 - B) where B(s) = 1, which is often nearer
+    pole = min(d.lst_pole for case in cases for d in (case.aging, case.overhead))
+    h0 = min(_FD_STEP, 0.4 * pole)
+    for case in cases if not w.backup_restart_via_primary else cases[:1]:
+        B0 = _ab(case, 0.0)[1]
+        while _ab(case, -2.0 * h0)[1] - B0 > 0.01 * (1.0 - B0):
+            h0 /= 2.0
+    return -(16.0 * central(h0 / 2.0) - central(h0)) / 15.0
 
 
 def completion_time(p: ModelParams, w: WorkloadSpec, method: str = "analytic") -> float:
@@ -354,17 +344,12 @@ def completion_time(p: ModelParams, w: WorkloadSpec, method: str = "analytic") -
     if method not in ("analytic", "richardson"):
         raise ValueError(f"unknown method {method!r}")
     cases = completion_cases(p, w)
-    cache = {}
-    phi1, phi2 = _solve_pair(cases, w, 0.0, cache)
+    (phi1, phi2), (d1, d2) = _pair(cases, w, 0.0)
     if abs(phi1 - 1.0) > 1e-9 or abs(phi2 - 1.0) > 1e-9:
         raise ModelConsistencyError(
             f"completion transforms at s=0 must equal 1, got {phi1!r}, {phi2!r}"
         )
-    if method == "analytic":
-        e1, e2 = _mean_analytic(cases, w, cache)
-    else:
-        e1 = _mean_richardson(cases, w, 0, cache)
-        e2 = _mean_richardson(cases, w, 1, cache)
+    e1, e2 = _mean_richardson(cases, w) if method == "richardson" else (-d1, -d2)
     mean = w.b1 * e1 + w.b2 * e2
     floor = w.b1 * cases[0].t0 + w.b2 * cases[1].t0
     if mean < floor - 1e-6 * max(1.0, floor):

@@ -5,6 +5,14 @@ integrals of competing-risks survival products, and the windowed
 transforms of the completion analysis, have closed matrix forms; they
 are evaluated here exactly, with no quadrature.  The model is 12
 states, so the chain solves are dense with partial pivoting.
+
+The memos of exact work all live here, as bounded LRU caches keyed by
+value, and the arrays they hold are read-only: ``_term_solution`` (256
+entries; it depends on the laws only, so a trigger sweep shares it),
+``_track`` (32: a law's row vectors at one state's trigger edges, shared
+by every entry of the row and by its sojourn time), ``phase_window``
+(32: what one completion evaluation meets) and ``_levels`` (64 tensor
+shapes).
 """
 
 from __future__ import annotations
@@ -126,8 +134,6 @@ def _expm_triangular(M):
     return E
 
 
-# holds one model build's (law, segment length) pairs, met in several rows
-@functools.lru_cache(maxsize=32)
 def _segment(d, length):
     """(e^{TL}, I - e^{TL}) of a phase-type law over a segment of length L.
 
@@ -141,10 +147,7 @@ def _segment(d, length):
     N[:n, :n] = T * length
     N[:n, n:] = np.eye(n)
     E = _expm_triangular(N)
-    D = -N[:n, :n] @ E[:n, n:]
-    E.setflags(write=False)
-    D.setflags(write=False)
-    return E[:n, :n], D
+    return E[:n, :n], -N[:n, :n] @ E[:n, n:]
 
 
 # depends on the laws, not the trigger offsets: a trigger sweep shares it
@@ -158,6 +161,21 @@ def _term_solution(laws, density):
     x = kron_sum_solve(generators, functools.reduce(np.multiply.outer, v))
     x.setflags(write=False)
     return x
+
+
+# one model build meets each (law, trigger edges) pair in several rows
+@functools.lru_cache(maxsize=32)
+def _track(d, edges):
+    """r(a) = alpha e^{Ta} at each edge a, and r(a) - r(b) over each finite
+    segment [a, b) between the sorted ``edges``; read-only."""
+    rows, drops = [d.phase_type[0]], []
+    for a, b in zip(edges, edges[1:]):
+        E, D = _segment(d, b - a)
+        drops.append(rows[-1] @ D)
+        rows.append(rows[-1] @ E)
+    for r in rows + drops:
+        r.setflags(write=False)
+    return tuple(rows), tuple(drops)
 
 
 def phase_integral(density, terms, steps=()) -> float:
@@ -178,20 +196,8 @@ def phase_integral(density, terms, steps=()) -> float:
     segments keep their relative precision.  A term without laws
     integrates m alone.
     """
-    edges = sorted({0.0, *(off for off, _ in steps if off > 0.0)})
+    edges = tuple(sorted({0.0, *(off for off, _ in steps if off > 0.0)}))
     weights = [math.prod(f for off, f in steps if off <= a) for a in edges]
-    tracks = {}
-
-    def track(d):
-        """r(a) at each edge a, and r(a) - r(b) over each finite segment [a, b)."""
-        if d not in tracks:
-            rows, drops = [d.phase_type[0]], []
-            for a, b in zip(edges, edges[1:]):
-                E, D = _segment(d, b - a)
-                drops.append(rows[-1] @ D)
-                rows.append(rows[-1] @ E)
-            tracks[d] = rows, drops
-        return tracks[d]
 
     total = 0.0
     for c, laws in terms:
@@ -204,7 +210,7 @@ def phase_integral(density, terms, steps=()) -> float:
             total += c * sum(w * (b - a) for w, a, b in zip(weights, edges, edges[1:]))
             continue
         x = _term_solution(laws, density is not None)
-        rows, drops = zip(*(track(d) for d in laws))
+        rows, drops = zip(*(_track(d, edges) for d in laws))
         acc = 0.0
         for i, w in enumerate(weights):
             if w == 0.0:
@@ -220,6 +226,8 @@ def phase_integral(density, terms, steps=()) -> float:
     return total
 
 
+# one completion evaluation meets each (law, s, window) several times
+@functools.lru_cache(maxsize=32)
 def phase_window(d, s: float, h: float) -> tuple[float, float]:
     """Windowed transform and moment of a phase-type law over [0, h].
 

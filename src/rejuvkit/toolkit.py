@@ -214,8 +214,6 @@ def run_simulate(cfg: RunConfig, sim: SimConfig, metrics=("availability", "mttf"
             elif m == "mttf":
                 est = simulate_mttf(at.params, sim)
             else:
-                if at.workload is None:
-                    raise ConfigError("completion metric requested but no workload block")
                 est = simulate_completion(at.params, at.workload, sim)
             rows.append(
                 ("trigger_interval", trigger, m, analytic[m], est.mean, est.ci_low, est.ci_high)

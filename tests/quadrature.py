@@ -224,12 +224,9 @@ def sojourn_times(p: ModelParams, tol: float = DEFAULT_TOL) -> np.ndarray:
 # --- completion windows ----------------------------------------------------
 
 
-def window(d: Distribution, s: float, hi: float, cache: dict) -> tuple[float, float]:
+def window(d: Distribution, s: float, hi: float) -> tuple[float, float]:
     """Quadrature stand-in for ``analysis._window``: the windowed transform
     and moment of ``d`` over [0, hi]."""
-    key = (id(d), s, hi)
-    if key not in cache:
-        lst = stieltjes(lambda h: math.exp(-s * h), d, lower=0.0, upper=hi)
-        moment = stieltjes(lambda h: h * math.exp(-s * h), d, lower=0.0, upper=hi)
-        cache[key] = (lst, moment)
-    return cache[key]
+    lst = stieltjes(lambda h: math.exp(-s * h), d, lower=0.0, upper=hi)
+    moment = stieltjes(lambda h: h * math.exp(-s * h), d, lower=0.0, upper=hi)
+    return lst, moment

@@ -192,11 +192,35 @@ def test_backup_restart_routing_flag():
 
 
 def test_richardson_agrees_with_analytic():
-    p = make_params(trigger=15.0, failure=Exponential(0.01), aging=Exponential(0.02))
-    w = WorkloadSpec(x=80.0, r1=0.9)
-    fd = completion_time(p, w, method="richardson")
+    from dataclasses import replace
+
+    from rejuvkit.config import bundled_config_names, load_config
+
+    setups = [
+        (make_params(trigger=15.0, failure=Exponential(0.01), aging=Exponential(0.02)),
+         WorkloadSpec(x=80.0, r1=0.9))
+    ]
+    for name in bundled_config_names():
+        cfg = load_config(name)
+        setups.append((cfg.params, cfg.workload))
+        # the backup case weighted in, under either restart routing
+        for via_primary in (True, False):
+            w = replace(cfg.workload, b1=0.3, b2=0.7, backup_restart_via_primary=via_primary)
+            setups.append((cfg.params, w))
+    for p, w in setups:
+        fd = completion_time(p, w, method="richardson")
+        closed = completion_time(p, w, method="analytic")
+        assert fd == pytest.approx(closed, rel=1e-10, abs=0.0), w
+
+
+def test_richardson_step_stays_clear_of_the_restart_pole():
+    # B(0) = 0.95: phi = A / (1 - B) has a pole where B(s) = 1, at
+    # s = -3.1e-5, far nearer than the aging pole at -6.9e-4; a fixed 1e-4
+    # step put the stencil past it (B(s=-1e-4) >= 1 raised)
+    p = make_params(trigger=20.0, failure=Exponential(0.01))
+    w = WorkloadSpec(x=300.0, r1=0.8)
     closed = completion_time(p, w, method="analytic")
-    assert fd == pytest.approx(closed, rel=1e-5)
+    assert completion_time(p, w, method="richardson") == pytest.approx(closed, rel=1e-10, abs=0.0)
 
 
 def test_completion_non_increasing_in_aging_rate():

@@ -105,9 +105,9 @@ def test_sojourn_closed_forms():
 def test_trigger_limits_in_aging_state():
     base = dict(c=(0.6, 0.23, 0.17))
     # immediate trigger: the healthy-backup branch fires instantly with
-    # mass c1 (entry carries the siblings' quadrature error via closure)
+    # mass c1, an entry computed directly and exact to rounding
     P = transition_matrix(make_params(trigger=0.0, **base))
-    assert P[8, 2] == pytest.approx(0.6, abs=5e-9)
+    assert P[8, 2] == pytest.approx(0.6, abs=1e-15)
     # huge trigger: failure always preempts migration
     P = transition_matrix(make_params(trigger=5e6, **base))
     assert P[8, 2] <= 1e-12

@@ -9,6 +9,7 @@ from rejuvkit import Deterministic, Erlang, Exponential, Hypoexponential
 from rejuvkit.numerics import (
     ReducibleChainError,
     _segment,
+    _track,
     absorbing_visits,
     dtmc_stationary,
     kron_sum_solve,
@@ -272,6 +273,19 @@ def test_phase_window_closed_forms():
     lst, moment = phase_window(d, 0.0, 4.0)
     assert lst == pytest.approx(d.cdf(4.0), abs=1e-15)
     assert phase_window(d, 0.0, 0.0) == (0.0, 0.0)
+
+
+def test_tracks_are_memoised_and_read_only():
+    lam, edges = 0.3, (0.0, 1.5, 4.0)
+    rows, drops = _track(Exponential(lam), edges)
+    assert _track(Exponential(lam), edges) == (rows, drops)
+    assert _track(Exponential(lam), edges)[0][1] is rows[1]
+    for r in rows + drops:
+        assert not r.flags.writeable
+    with pytest.raises(ValueError):
+        rows[1][0] = 1.0
+    assert [float(r[0]) for r in rows] == pytest.approx([math.exp(-lam * a) for a in edges])
+    assert float(drops[1][0]) == pytest.approx(math.exp(-lam * 1.5) - math.exp(-lam * 4.0))
 
 
 # --- nearly equal rates: references at 60 digits ---------------------------

@@ -342,3 +342,22 @@ def test_run_validate_detects_corruption(monkeypatch):
     results = run_validate(load_config("preset_f_hypo"))
     statuses = {name: status for name, status, _ in results}
     assert statuses["kernel-construction"] == "FAIL"
+
+
+def test_analyze_then_validate_computes_each_window_once(monkeypatch):
+    from rejuvkit import numerics
+
+    numerics.phase_window.cache_clear()
+    built = []
+    real = numerics._expm_triangular
+
+    def recorded(M):
+        if M.shape[0] % 2:  # a window's block matrix has odd order 2n + 1
+            built.append(M.tobytes())
+        return real(M)
+
+    monkeypatch.setattr(numerics, "_expm_triangular", recorded)
+    cfg = load_config("preset_f_hypo")
+    run_analyze(cfg)
+    run_validate(cfg)
+    assert built and len(built) == len(set(built))
