@@ -30,9 +30,10 @@ The execution runs at rate ``r1`` until the migration trigger (work
 ``a1``, wall time ``a1/r1``) and at rate ``r2`` afterwards, finishing at
 ``T0 = a1/r1 + (x - a1)/r2`` if no failure strikes first.  Failures
 before the trigger follow the idle-phase failure law; at the trigger
-epoch the surviving probability mass splits into three branches (backup
-rebooted in time / backup fixed in time / everything else) each with its
-own post-trigger failure law.  A failure at epoch ``h`` discards all
+epoch tau the survivors S_pre(tau) split, independently of that law, in
+proportion c2 F_reboot(tau) : c3 F_fix(tau) : rest over three branches
+(backup rebooted / fixed in time / everything else), each with its own
+post-trigger failure law.  A failure at epoch ``h`` discards all
 work: the clock accrues ``h`` plus a restart overhead plus a fresh
 aging-onset wait, and the whole execution repeats.  This makes the LST
 linear in itself, solved here in closed form per evaluation point.
@@ -66,10 +67,12 @@ __all__ = [
 ]
 
 _FD_STEP = 1e-4  # largest base step of the Richardson derivative at s = 0
+# A(0) + B(0) = 1 holds to rounding; the bound is a few tens of ulp
+_CONSERVATION_TOL = 32 * np.finfo(float).eps
 
 
 class CompletionDivergenceError(ArithmeticError):
-    """The restart loop does not terminate (B(s) >= 1) or masses are infeasible."""
+    """The restart loop does not terminate: B(s) >= 1."""
 
 
 @dataclass(frozen=True)
@@ -84,6 +87,8 @@ class WorkloadSpec:
     fixing laws.  ``backup_restart_via_primary`` keeps the printed
     routing of the backup case's restart terms through the primary-case
     transform; set it False to make the backup case restart into itself.
+    A spec is checked once, when it is built: construction raises
+    ``ValueError`` naming every violation that :meth:`validate` lists.
     """
 
     x: float
@@ -113,7 +118,7 @@ class WorkloadSpec:
             problems.append(f"t1 must be >= 0, got {self.t1}")
         return problems
 
-    def require_valid(self):
+    def __post_init__(self):
         problems = self.validate()
         if problems:
             raise ValueError("invalid workload: " + "; ".join(problems))
@@ -190,9 +195,13 @@ class _Case:
 
 
 def completion_cases(p: ModelParams, w: WorkloadSpec) -> tuple[_Case, _Case]:
-    """The (primary, backup) cases of ``w`` under ``p``, validated."""
-    p.require_valid()
-    w.require_valid()
+    """The (primary, backup) cases of ``w`` under ``p``.
+
+    The post-trigger masses are S_pre(tau) (c2 F_reboot(tau), c3 F_fix(tau),
+    1 - c2 F_reboot(tau) - c3 F_fix(tau)): whether the backup finished its
+    reboot or fix by the trigger epoch is independent of the primary's
+    pre-trigger failure.  Each case must conserve mass, A(0) + B(0) = 1.
+    """
     x1 = w.x / 2.0 if w.x1 is None else w.x1
     if w.t1 is None:
         if isinstance(p.a4, Distribution):
@@ -212,19 +221,19 @@ def completion_cases(p: ModelParams, w: WorkloadSpec) -> tuple[_Case, _Case]:
 
     def build(trig_work, rem_work, aging, pre_fail, gate_reboot, gate_fix, laws, overhead):
         tau = trig_work / w.r1
-        delta = rem_work / w.r2
-        pre_mass = pre_fail.cdf(tau)
-        m_reboot = p.c2 * gate_reboot.cdf(tau)
-        m_fix = p.c3 * gate_fix.cdf(tau)
-        m_rest = 1.0 - pre_mass - m_reboot - m_fix
-        if m_rest < -1e-12:
-            raise CompletionDivergenceError(
-                "post-trigger branch mass is negative "
-                f"({m_rest:.3e}): the trigger epoch {tau:.3g} h is too deep into the "
-                "failure laws for this workload configuration"
+        survivors = pre_fail.survival(tau)
+        share_reboot = p.c2 * gate_reboot.cdf(tau)
+        share_fix = p.c3 * gate_fix.cdf(tau)
+        shares = (share_reboot, share_fix, 1.0 - share_reboot - share_fix)
+        post = tuple((survivors * share, law) for share, law in zip(shares, laws))
+        case = _Case(tau, rem_work / w.r2, aging, pre_fail, post, overhead)
+        A, B, _, _ = _ab(case, 0.0)
+        if abs(A + B - 1.0) > _CONSERVATION_TOL:
+            raise ModelConsistencyError(
+                f"completion masses A(0) + B(0) = {A + B!r} must equal 1 "
+                f"(trigger epoch {tau:.6g} h)"
             )
-        post = ((m_reboot, laws[0]), (m_fix, laws[1]), (max(m_rest, 0.0), laws[2]))
-        return _Case(tau, delta, aging, pre_fail, post, overhead)
+        return case
 
     primary = build(
         a1,
@@ -344,11 +353,7 @@ def completion_time(p: ModelParams, w: WorkloadSpec, method: str = "analytic") -
     if method not in ("analytic", "richardson"):
         raise ValueError(f"unknown method {method!r}")
     cases = completion_cases(p, w)
-    (phi1, phi2), (d1, d2) = _pair(cases, w, 0.0)
-    if abs(phi1 - 1.0) > 1e-9 or abs(phi2 - 1.0) > 1e-9:
-        raise ModelConsistencyError(
-            f"completion transforms at s=0 must equal 1, got {phi1!r}, {phi2!r}"
-        )
+    _, (d1, d2) = _pair(cases, w, 0.0)
     e1, e2 = _mean_richardson(cases, w) if method == "richardson" else (-d1, -d2)
     mean = w.b1 * e1 + w.b2 * e2
     floor = w.b1 * cases[0].t0 + w.b2 * cases[1].t0

@@ -1,23 +1,27 @@
-"""JSON configuration: defaults, distribution-scenario presets, validation.
+"""JSON configuration: defaults, distribution-scenario presets, parsing.
 
 A config file is a versioned JSON object; unknown fields are rejected so
 typos in distribution names fail loudly.  Resolution order: built-in
 defaults, then the optional scenario ``preset`` (which swaps distribution
 families while keeping the default means), then explicit per-name
 ``distributions`` overrides, then triggers/branch/workload blocks.
+
+The document is read in one pass: each block must be an object with
+known keys, each scalar a JSON number (not a boolean, null or string),
+and each law, parameter set and workload is checked once by its own
+constructor, whose error becomes a :class:`ConfigError`.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 
 from . import distributions as dist
 from .analysis import WorkloadSpec
 from .model import TRIGGER_SIDES, TRIGGERS, ModelParams
-from .model import validate as validate_params
 
 __all__ = [
     "ConfigError",
@@ -69,26 +73,6 @@ FAMILY_DEFAULTS = {
     },
 }
 
-_GROUP_OF = {
-    "aging_primary": "aging",
-    "aging_backup": "aging",
-    "fail_idle_primary": "failure",
-    "fail_idle_backup": "failure",
-    "fail_migrating_primary": "failure",
-    "fail_migrating_backup": "failure",
-    "fail_fixing_primary": "failure",
-    "fail_fixing_backup": "failure",
-    "fail_reboot_primary": "failure",
-    "fail_reboot_backup": "failure",
-    "fixing_primary": "fixing",
-    "fixing_backup": "fixing",
-    "reboot_primary": "reboot",
-    "reboot_backup": "reboot",
-    "migration": "migration",
-}
-
-DIST_NAMES = tuple(_GROUP_OF)
-
 # Scenario presets: which family each variable group follows.  Groups not
 # listed stay exponential.
 PRESETS = {
@@ -119,8 +103,11 @@ FITTED_BRANCH = {"c1": 0.6, "c2": 0.2, "c3": 0.2}
 # (fixes x) and the trigger-100 mean at 1696 h (fixes r1).
 FITTED_WORKLOAD = {"x": 590.6201, "r1": 0.566316}
 
+_BRANCH = ("c1", "c2", "c3")
+DIST_NAMES = tuple(f.name for f in fields(ModelParams) if f.name not in TRIGGERS + _BRANCH)
 _TIE_KEYS = ("tied_all", *(f"tied_{side}" for side in TRIGGER_SIDES))
 _WORKLOAD_SCALAR = ("x", "x1", "r1", "r2", "b1", "b2", "t1")
+_WORKLOAD_LAWS = ("restart_overhead_primary", "restart_overhead_backup")
 _TOP_KEYS = ("schema", "notes", "preset", "distributions", "triggers", "branch", "workload")
 
 
@@ -136,7 +123,7 @@ def default_config() -> dict:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A fully validated configuration with its normalised raw document."""
+    """A checked configuration with its normalised raw document."""
 
     raw: dict
     params: ModelParams
@@ -168,132 +155,96 @@ def _number(value, path, minimum=None):
     return float(value)
 
 
-def _check_keys(block, allowed, path):
-    unknown = sorted(set(block) - set(allowed))
+def _block(doc, path, allowed):
+    """``doc``, checked to be an object with no keys outside ``allowed``."""
+    if not isinstance(doc, dict):
+        _fail(path, f"expected an object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - set(allowed))
     if unknown:
         _fail(path, f"unknown fields {unknown} (allowed: {sorted(allowed)})")
+    return doc
+
+
+def _law(fragment, path):
+    """The distribution of a JSON fragment; an error names ``path``."""
+    try:
+        return dist.from_json(fragment)
+    except ValueError as exc:
+        _fail(path, str(exc))
 
 
 def resolve_params(doc: dict) -> ModelParams:
-    """ModelParams from a normalised config document."""
-    dists = {}
+    """ModelParams from a config document, checking each block it reads."""
     preset = doc.get("preset", "Exponential")
-    if preset not in PRESETS:
+    if not isinstance(preset, str) or preset not in PRESETS:
         _fail("preset", f"unknown preset {preset!r} (known: {sorted(PRESETS)})")
     assignment = PRESETS[preset]
-    for name, group in _GROUP_OF.items():
-        family = assignment.get(group, "exp")
-        dists[name] = dist.from_json(FAMILY_DEFAULTS[group][family])
-    for name, fragment in doc.get("distributions", {}).items():
-        try:
-            dists[name] = dist.from_json(fragment)
-        except ValueError as exc:
-            _fail(f"distributions.{name}", str(exc))
+    laws = {}
+    for name in DIST_NAMES:
+        # the group is the name's prefix; fail_* laws are failure laws
+        group = "failure" if name.startswith("fail_") else name.split("_")[0]
+        laws[name] = dist.from_json(FAMILY_DEFAULTS[group][assignment.get(group, "exp")])
+    overrides = _block(doc.get("distributions", {}), "distributions", DIST_NAMES)
+    for name, fragment in overrides.items():
+        laws[name] = _law(fragment, f"distributions.{name}")
 
-    triggers = dict(doc.get("triggers", {"tied_all": 30.0}))
+    given = _block(doc.get("triggers", {"tied_all": 30.0}), "triggers", TRIGGERS + _TIE_KEYS)
+    triggers = {k: _number(v, f"triggers.{k}", minimum=0.0) for k, v in given.items()}
     offsets = {}
     if "tied_all" in triggers:
         offsets.update(dict.fromkeys(TRIGGERS, triggers["tied_all"]))
     for side, keys in TRIGGER_SIDES.items():
         if f"tied_{side}" in triggers:
             offsets.update(dict.fromkeys(keys, triggers[f"tied_{side}"]))
-    for k in TRIGGERS:
-        if k in triggers:
-            offsets[k] = triggers[k]
+    offsets.update((k, v) for k, v in triggers.items() if k in TRIGGERS)
     missing = [k for k in TRIGGERS if k not in offsets]
     if missing:
         _fail("triggers", f"no value for {missing}; give per-trigger values or a tied_* key")
 
-    branch = doc.get("branch", dict(FITTED_BRANCH))
-    return ModelParams(
-        **dists,
-        **{k: float(offsets[k]) for k in TRIGGERS},
-        c1=float(branch["c1"]),
-        c2=float(branch["c2"]),
-        c3=float(branch["c3"]),
-    )
+    branch = _block(doc.get("branch", FITTED_BRANCH), "branch", _BRANCH)
+    for k in _BRANCH:
+        if k not in branch:
+            _fail(f"branch.{k}", "missing")
+    probabilities = {k: _number(branch[k], f"branch.{k}") for k in _BRANCH}
+    try:
+        return ModelParams(**laws, **offsets, **probabilities)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
-def _resolve_workload(block: dict | None) -> WorkloadSpec | None:
+def _resolve_workload(block) -> WorkloadSpec | None:
     if block is None:
         return None
-    kwargs = {}
-    for key in _WORKLOAD_SCALAR:
-        if key in block:
-            kwargs[key] = float(block[key])
-    for key in ("restart_overhead_primary", "restart_overhead_backup"):
-        if key in block:
-            try:
-                kwargs[key] = dist.from_json(block[key])
-            except ValueError as exc:
-                _fail(f"workload.{key}", str(exc))
+    _block(block, "workload", _WORKLOAD_SCALAR + _WORKLOAD_LAWS + ("backup_restart_via_primary",))
+    if "x" not in block:
+        _fail("workload.x", "the work requirement x is required")
+    kwargs = {k: _number(block[k], f"workload.{k}") for k in _WORKLOAD_SCALAR if k in block}
+    kwargs.update((k, _law(block[k], f"workload.{k}")) for k in _WORKLOAD_LAWS if k in block)
     if "backup_restart_via_primary" in block:
         flag = block["backup_restart_via_primary"]
         if not isinstance(flag, bool):
             _fail("workload.backup_restart_via_primary", f"expected a boolean, got {flag!r}")
         kwargs["backup_restart_via_primary"] = flag
-    if "x" not in kwargs:
-        _fail("workload.x", "the work requirement x is required")
-    return WorkloadSpec(**kwargs)
+    try:
+        return WorkloadSpec(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def parse_config(doc: dict) -> RunConfig:
-    """Validate a config document and resolve model/workload objects."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"top level: expected an object, got {type(doc).__name__}")
-    _check_keys(doc, _TOP_KEYS, "top level")
+    """Check a config document in one pass and build its model and workload."""
+    _block(doc, "top level", _TOP_KEYS)
     if doc.get("schema") != 1:
         _fail("schema", f"expected schema 1, got {doc.get('schema')!r}")
     if "notes" in doc and not isinstance(doc["notes"], str):
         _fail("notes", "expected a string")
-
-    dists = doc.get("distributions", {})
-    if not isinstance(dists, dict):
-        _fail("distributions", "expected an object")
-    _check_keys(dists, DIST_NAMES, "distributions")
-
-    triggers = doc.get("triggers", {})
-    if not isinstance(triggers, dict):
-        _fail("triggers", "expected an object")
-    _check_keys(triggers, TRIGGERS + _TIE_KEYS, "triggers")
-    for k, v in triggers.items():
-        _number(v, f"triggers.{k}", minimum=0.0)
-
-    branch = doc.get("branch", dict(FITTED_BRANCH))
-    if not isinstance(branch, dict):
-        _fail("branch", "expected an object")
-    _check_keys(branch, ("c1", "c2", "c3"), "branch")
-    for k in ("c1", "c2", "c3"):
-        if k not in branch:
-            _fail(f"branch.{k}", "missing")
-        _number(branch[k], f"branch.{k}")
-
-    workload_block = doc.get("workload")
-    if workload_block is not None:
-        if not isinstance(workload_block, dict):
-            _fail("workload", "expected an object")
-        _check_keys(
-            workload_block,
-            _WORKLOAD_SCALAR
-            + ("restart_overhead_primary", "restart_overhead_backup", "backup_restart_via_primary"),
-            "workload",
-        )
-
     params = resolve_params(doc)
-    problems = validate_params(params)
-    if problems:
-        raise ConfigError("; ".join(problems))
-
-    workload = _resolve_workload(workload_block)
-    if workload is not None:
-        problems = workload.validate()
-        if problems:
-            raise ConfigError("workload: " + "; ".join(problems))
+    workload = _resolve_workload(doc.get("workload"))
     return RunConfig(raw=copy.deepcopy(doc), params=params, workload=workload)
 
 
 def load_config(path) -> RunConfig:
-    """Parse and validate a JSON config file (or a bundled config name)."""
+    """Parse and check a JSON config file (or a bundled config name)."""
     import os
 
     if not os.path.exists(path) and os.path.sep not in str(path):

@@ -318,22 +318,31 @@ def from_json(fragment: dict) -> Distribution:
 
     Fragment shape: ``{"kind": "exp"|"erlang"|"hypoexp"|"det", ...params,
     "unit": "s"|"min"|"h"|"d"}``.  Rates are per ``unit`` and offsets are
-    in ``unit``; both are normalised to hours here.
+    in ``unit``; both are normalised to hours here.  Every parameter must
+    be a number (not a boolean, null or string), and an integer parameter
+    such as the Erlang shape an integral one (2.0 is read as 2); anything
+    else raises ``ValueError`` naming the field.
     """
     if not isinstance(fragment, dict):
         raise ValueError(f"distribution fragment must be an object, got {fragment!r}")
     frag = dict(fragment)
     kind = frag.pop("kind", None)
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ValueError(f"unknown distribution kind {kind!r} (expected one of {sorted(_KINDS)})")
     unit = frag.pop("unit", "h")
-    if unit not in _UNITS_PER_HOUR:
+    if not isinstance(unit, str) or unit not in _UNITS_PER_HOUR:
         raise ValueError(f"unknown unit {unit!r} (expected one of {sorted(_UNITS_PER_HOUR)})")
     params = {}
     for f in fields(_KINDS[kind]):
         if f.name not in frag:
             raise ValueError(f"distribution kind {kind!r} requires field {f.name!r}")
-        params[f.name] = (int if f.type in ("int", int) else float)(frag.pop(f.name))
+        value = frag.pop(f.name)
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ValueError(f"field {f.name!r} must be a number, got {value!r}")
+        integral = f.type in ("int", int)
+        if integral and not float(value).is_integer():
+            raise ValueError(f"field {f.name!r} must be an integer, got {value!r}")
+        params[f.name] = int(value) if integral else float(value)
     if frag:
         raise ValueError(f"unknown fields {sorted(frag)} in distribution fragment")
     # parameters given per unit: normalising to hours is a change of time unit

@@ -129,6 +129,8 @@ class ModelParams:
     Failure laws are split by what the opposite host is doing at the
     time (idle / migrating / fixing / rebooting); by default a config
     ties all four to one law, but they are independently overridable.
+    A set is checked once, when it is built: :func:`validate` lists the
+    violations and construction raises ``ValueError`` naming all of them.
     """
 
     aging_primary: Distribution
@@ -159,7 +161,7 @@ class ModelParams:
     c2: float
     c3: float
 
-    def require_valid(self):
+    def __post_init__(self):
         problems = validate(self)
         if problems:
             raise ValueError("invalid model parameters: " + "; ".join(problems))
@@ -255,7 +257,6 @@ def transition_matrix(p: ModelParams) -> np.ndarray:
     from 1 by more than 1e-8 raises :class:`ModelConsistencyError`; the
     row is then divided by its sum, which removes the rounding.
     """
-    p.require_valid()
     P = np.zeros((N_STATES, N_STATES))
     for i, evs in enumerate(state_events(p)):
         for j, ev in enumerate(evs):
@@ -272,7 +273,6 @@ def transition_matrix(p: ModelParams) -> np.ndarray:
 
 def sojourn_times(p: ModelParams) -> np.ndarray:
     """Mean sojourn time per state: integral of the survival product."""
-    p.require_valid()
     return np.array([phase_integral(None, *_race(evs)) for evs in state_events(p)])
 
 

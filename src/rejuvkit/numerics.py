@@ -260,14 +260,16 @@ def reachability(P: np.ndarray) -> np.ndarray:
 
 
 def _closed_classes(P: np.ndarray):
-    """Recurrent classes of the adjacency pattern of ``P``.
+    """Recurrent classes of the adjacency pattern of ``P``, by lowest state.
 
     A state is recurrent when every state it reaches reaches it back; its
-    class is then the set of states it reaches.
+    class is then the set of states it reaches, and the class's lowest
+    state, which reaches no lower one, stands for it.
     """
     reach = reachability(P)
-    classes = {tuple(np.flatnonzero(r)) for i, r in enumerate(reach) if reach[r, i].all()}
-    return sorted(list(c) for c in classes)
+    recurrent = ~(reach & ~reach.T).any(axis=1)
+    lowest = reach.argmax(axis=1) == np.arange(len(reach))
+    return [np.flatnonzero(reach[i]).tolist() for i in np.flatnonzero(recurrent & lowest)]
 
 
 def dtmc_stationary(P: np.ndarray) -> np.ndarray:

@@ -5,7 +5,9 @@ simulated as a race of competing events (one duration sampled per armed
 event, minimum wins, resampled on every entry - the Markov-renewal
 property at transition epochs).  Replications use substreams derived
 from (seed, metric, replication index), so results are reproducible and
-independent of execution order.
+independent of execution order.  Parameter sets, workloads and
+:class:`SimConfig` check themselves when they are built, so the
+simulators take them as given.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ class SimConfig:
     horizon: float = 1e5  # simulated hours per availability replication
     warmup: float = 0.0  # discarded before availability accounting
 
-    def require_valid(self):
+    def __post_init__(self):
         if self.replications < 2:
             raise ValueError("CI requires >= 2 replications")
         if not 0.0 <= self.warmup < self.horizon:
@@ -113,8 +115,6 @@ def _occupancy_rep(events, rng, horizon, warmup):
 
 def _occupancy_rows(p: ModelParams, c: SimConfig, tag: int) -> np.ndarray:
     """Per-replication occupancy fractions, one row of 12 per replication."""
-    p.require_valid()
-    c.require_valid()
     events = state_events(p)
     rows = np.empty((c.replications, len(events)))
     for rep in range(c.replications):
@@ -143,8 +143,6 @@ def simulate_occupancy(p: ModelParams, c: SimConfig):
 
 def simulate_mttf(p: ModelParams, c: SimConfig) -> Estimate:
     """Time to first entry into a failed state, repair disabled."""
-    p.require_valid()
-    c.require_valid()
     events = state_events(p)
     values = []
     truncated = 0
@@ -181,7 +179,6 @@ def _attempt(case, rng):
 def simulate_completion(p: ModelParams, w: WorkloadSpec, c: SimConfig) -> Estimate:
     """Wall-clock completion time under preemptive-repeat restarts."""
     primary, backup = completion_cases(p, w)
-    c.require_valid()
     values = []
     truncated = 0
     for rep in range(c.replications):

@@ -186,7 +186,6 @@ def _entry(events, j, tol):
 
 def transition_matrix(p: ModelParams, tol: float = DEFAULT_TOL) -> np.ndarray:
     """The kernel by quadrature, with the same row guard and residual closure."""
-    p.require_valid()
     P = np.zeros((N_STATES, N_STATES))
     for i, evs in enumerate(state_events(p)):
         if i in _CERTAIN_ROWS:
@@ -205,7 +204,6 @@ def transition_matrix(p: ModelParams, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 def sojourn_times(p: ModelParams, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Mean sojourn times by quadrature of the survival product."""
-    p.require_valid()
     hours = np.zeros(N_STATES)
     for i, evs in enumerate(state_events(p)):
         if len(evs) == 1:

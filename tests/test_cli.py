@@ -1,11 +1,23 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import rejuvkit
 from rejuvkit.cli import main
 from rejuvkit.config import default_config
+
+
+def _child_env():
+    """This environment, with the directory the package was imported from
+    first on the child's PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(rejuvkit.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture
@@ -38,6 +50,33 @@ def test_config_error_exits_2(config_file, capsys):
     bad = config_file(lambda doc: doc.update(branch={"c1": 0.5, "c2": 0.6, "c3": 0.1}))
     assert main(["analyze", "--config", bad]) == 2
     assert "c1+c2+c3" in capsys.readouterr().err
+
+
+def _workload(**fields):
+    return lambda doc: doc["workload"].update(fields)
+
+
+def _law(name, fragment):
+    return lambda doc: doc.setdefault("distributions", {}).update({name: fragment})
+
+
+@pytest.mark.parametrize(
+    "mutate, field",
+    [
+        (_workload(x=None), "workload.x"),
+        (_workload(t1=None), "workload.t1"),
+        (_workload(x=True), "workload.x"),
+        (_workload(x="12"), "workload.x"),
+        (_law("fixing_primary", {"kind": "erlang", "rate": 2.0, "shape": 2.7}), "shape"),
+        (_law("reboot_primary", {"kind": "exp", "rate": True}), "rate"),
+        (_law("migration", {"kind": "det", "offset": None}), "offset"),
+    ],
+    ids=["x-null", "t1-null", "x-bool", "x-string", "shape-fraction", "rate-bool", "offset-null"],
+)
+def test_malformed_scalar_exits_2(config_file, capsys, mutate, field):
+    assert main(["analyze", "--config", config_file(mutate)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err
 
 
 def test_missing_file_exits_2(capsys):
@@ -124,6 +163,7 @@ def test_entry_point_subprocess():
         [sys.executable, "-m", "rejuvkit.cli", "analyze", "--config", "preset_exponential"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert "availability" in proc.stdout
@@ -131,6 +171,8 @@ def test_entry_point_subprocess():
 
 def test_import_leaves_scipy_stats_unloaded():
     code = "import sys, rejuvkit.cli; print('scipy.stats' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+    )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

@@ -213,11 +213,12 @@ def test_absorbing_blocks_structure():
 
 def test_validate_reports_all_violations():
     assert validate(make_params(c=(0.9, 0.09, 0.01))) == []
-    problems = validate(make_params(c=(0.5, 0.6, 0.1), a1=-5.0))
-    text = "; ".join(problems)
+    with pytest.raises(ValueError) as built:
+        make_params(c=(0.5, 0.6, 0.1), a1=-5.0)
+    text = str(built.value)
     assert "c1+c2+c3" in text and "1.2" in text
     assert "negative" in text and "a1" in text
-    assert len(problems) == 2
+    assert len(text.split("; ")) == 2
 
 
 def test_invalid_params_raise_on_build():

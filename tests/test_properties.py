@@ -10,16 +10,16 @@ from hypothesis import strategies as st
 
 from rejuvkit import KERNEL_TARGETS, Deterministic, Erlang, Exponential, Hypoexponential
 from rejuvkit import WorkloadSpec, completion_time, metrics_report, scale_time, transition_matrix
-from rejuvkit.analysis import CompletionDivergenceError
+from rejuvkit.analysis import CompletionDivergenceError, completion_cases
 from rejuvkit.ctmc import availability_ctmc, mttf_ctmc
 from rejuvkit.distributions import from_json, to_json
-from rejuvkit.model import ModelConsistencyError
 from tests.conftest import make_params
 
 # derandomized: the suite stays reproducible and needs no example database
 FAST = settings(max_examples=60, derandomize=True, database=None, deadline=None)
 KERNEL = settings(max_examples=40, derandomize=True, database=None, deadline=None)
 METRICS = settings(max_examples=30, derandomize=True, database=None, deadline=None)
+EPS = np.finfo(float).eps
 
 
 def laws(log_mean_lo=-3.0, log_mean_hi=3.0, deterministic=True, max_shape=200):
@@ -161,18 +161,23 @@ def completion_setups(draw):
 
 
 def _completion_or_skip(p, w):
-    """The mean completion time.  Draws where the analytic route raises are
-    skipped: a restart loop that never completes (B(0) >= 1), a trigger so
-    deep in the failure laws that a post-trigger branch mass is negative,
-    and the conservation guard's false alarm when 1 - B(0) is near
-    rounding (a known defect, listed in CHANGES.md)."""
+    """The mean completion time; a draw whose restart loop never completes
+    (B(0) >= 1) is skipped."""
     try:
         return completion_time(p, w)
     except CompletionDivergenceError:
         assume(False)
-    except ModelConsistencyError as exc:
-        assume("must equal 1" not in str(exc))
-        raise
+
+
+@METRICS
+@given(completion_setups())
+def test_post_trigger_masses_split_the_survivors_property(setup):
+    p, w = setup
+    for case in completion_cases(p, w):
+        masses = [m for m, _ in case.post]
+        assert min(masses) >= 0.0
+        survivors = case.pre_fail.survival(case.tau)
+        assert math.fsum(masses) == pytest.approx(survivors, rel=4 * EPS, abs=0.0)
 
 
 @METRICS
@@ -199,7 +204,8 @@ def test_time_unit_invariance_property(setup, k):
     p, w = setup
     e0 = _completion_or_skip(p, w)
     q = scale_time(p, k)
-    wq = replace(w, x=w.x / k, x1=w.x1 / k, t1=w.t1 / k)
+    # t1 = x - x1 must stay within the remaining work after division by k
+    wq = replace(w, x=w.x / k, x1=w.x1 / k, t1=min(w.t1 / k, w.x / k - w.x1 / k))
     r0, rq = metrics_report(p), metrics_report(q)
     assert rq.availability == pytest.approx(r0.availability, abs=1e-10)
     assert rq.mttf * k == pytest.approx(r0.mttf, rel=1e-8)

@@ -21,9 +21,9 @@ NEVER = Deterministic(1e9)
 
 def test_simconfig_validation():
     with pytest.raises(ValueError, match="2 replications"):
-        SimConfig(replications=1, seed=1).require_valid()
+        SimConfig(replications=1, seed=1)
     with pytest.raises(ValueError, match="warmup"):
-        SimConfig(replications=10, seed=1, horizon=10.0, warmup=10.0).require_valid()
+        SimConfig(replications=10, seed=1, horizon=10.0, warmup=10.0)
 
 
 def test_determinism_bit_identical():

@@ -135,11 +135,11 @@ def test_workload_block_parses():
 
 def test_sweep_spec_validation():
     with pytest.raises(ConfigError, match="step"):
-        SweepSpec("trigger_interval", 0.0, 10.0, 0.0).require_valid()
+        SweepSpec("trigger_interval", 0.0, 10.0, 0.0)
     with pytest.raises(ConfigError, match="metrics"):
-        SweepSpec("trigger_interval", 0.0, 10.0, 1.0, metrics=("latency",)).require_valid()
+        SweepSpec("trigger_interval", 0.0, 10.0, 1.0, metrics=("latency",))
     with pytest.raises(ConfigError, match="tie"):
-        SweepSpec("trigger_interval", 0.0, 10.0, 1.0, tie="sideways").require_valid()
+        SweepSpec("trigger_interval", 0.0, 10.0, 1.0, tie="sideways")
     assert SweepSpec("x", 0.0, 5.0, 1.0).grid() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
 
 
