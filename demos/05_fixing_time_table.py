@@ -7,14 +7,13 @@ trigger.
 """
 
 from rejuvkit.config import load_config
-from rejuvkit.toolkit import fixing_time_table
+from rejuvkit.toolkit import SweepSpec, fixing_time_table
 
 cfg = load_config("table10_fixing_sweep")
 records = fixing_time_table(
     cfg,
     fixing_means=(0.8, 0.9, 1.0, 1.1, 1.2),
-    trigger_grid=[float(t) for t in range(0, 51)],
-    metrics=("availability", "mttf"),
+    sweep=SweepSpec("trigger_interval", 0.0, 50.0, 1.0, metrics=("availability", "mttf")),
 )
 
 print(f"{'fixing mean [h]':>16}{'max availability':>20}{'at trigger':>12}"

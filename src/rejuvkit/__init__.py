@@ -19,7 +19,6 @@ from .analysis import (
     mttf,
 )
 from .distributions import (
-    POINT_MASS,
     Deterministic,
     Distribution,
     Erlang,
@@ -74,7 +73,6 @@ __all__ = [
     "Erlang",
     "Hypoexponential",
     "Deterministic",
-    "POINT_MASS",
     "dtmc_stationary",
     "absorbing_visits",
     "ReducibleChainError",

@@ -49,7 +49,7 @@ import numpy as np
 from .distributions import Deterministic, Distribution
 from .model import ModelConsistencyError, ModelParams, sojourn_times, transition_matrix
 from .numerics import (
-    AbsorptionUnreachable, absorbing_visits, dtmc_stationary, phase_window, reachability
+    AbsorptionUnreachable, _stationary, absorbing_visits, phase_window, reachability
 )
 
 __all__ = [
@@ -141,10 +141,11 @@ def metrics_report(p: ModelParams, w: WorkloadSpec | None = None) -> MetricsRepo
     P = transition_matrix(p)
     h = sojourn_times(p)
     # a transition too rare to represent (0.0) can split off a closed class
-    # that the start state 0 never visits: it gets no long-run mass
-    live = np.flatnonzero(reachability(P)[0])
+    # that state 0 never visits; the closed set that state 0 reaches gets all mass
+    reach = reachability(P)
+    live = np.ix_(reach[0], reach[0])
     v = np.zeros(len(P))
-    v[live] = dtmc_stationary(P[np.ix_(live, live)])
+    v[reach[0]] = _stationary(P[live], reach[live])
     weighted = v * h
     pi = weighted / weighted.sum()
     avail = float(1.0 - pi[10] - pi[11])
@@ -198,7 +199,8 @@ def completion_cases(p: ModelParams, w: WorkloadSpec) -> tuple[_Case, _Case]:
     """The (primary, backup) cases of ``w`` under ``p``.
 
     The post-trigger masses are S_pre(tau) (c2 F_reboot(tau), c3 F_fix(tau),
-    1 - c2 F_reboot(tau) - c3 F_fix(tau)): whether the backup finished its
+    c1 + c2 S_reboot(tau) + c3 S_fix(tau)) / (c1 + c2 + c3), none of them a
+    difference that could round below 0: whether the backup finished its
     reboot or fix by the trigger epoch is independent of the primary's
     pre-trigger failure.  Each case must conserve mass, A(0) + B(0) = 1.
     """
@@ -221,11 +223,11 @@ def completion_cases(p: ModelParams, w: WorkloadSpec) -> tuple[_Case, _Case]:
 
     def build(trig_work, rem_work, aging, pre_fail, gate_reboot, gate_fix, laws, overhead):
         tau = trig_work / w.r1
-        survivors = pre_fail.survival(tau)
-        share_reboot = p.c2 * gate_reboot.cdf(tau)
-        share_fix = p.c3 * gate_fix.cdf(tau)
-        shares = (share_reboot, share_fix, 1.0 - share_reboot - share_fix)
-        post = tuple((survivors * share, law) for share, law in zip(shares, laws))
+        # c1 + c2 + c3 may miss 1 by validate's slack: the shares divide by it
+        scale = pre_fail.survival(tau) / (p.c1 + p.c2 + p.c3)
+        rest = p.c1 + p.c2 * gate_reboot.survival(tau) + p.c3 * gate_fix.survival(tau)
+        shares = (p.c2 * gate_reboot.cdf(tau), p.c3 * gate_fix.cdf(tau), rest)
+        post = tuple((scale * share, law) for share, law in zip(shares, laws))
         case = _Case(tau, rem_work / w.r2, aging, pre_fail, post, overhead)
         A, B, _, _ = _ab(case, 0.0)
         if abs(A + B - 1.0) > _CONSERVATION_TOL:

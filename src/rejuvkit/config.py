@@ -35,7 +35,6 @@ __all__ = [
     "PRESETS",
     "FAMILY_DEFAULTS",
     "FITTED_BRANCH",
-    "FITTED_WORKLOAD",
 ]
 
 
@@ -98,10 +97,6 @@ PRESETS = {
 # published six-point availability/MTTF trigger sweep; see the bundled
 # table7_defaults.json notes for the procedure and residuals.
 FITTED_BRANCH = {"c1": 0.6, "c2": 0.2, "c3": 0.2}
-
-# Completion workload fitted by anchoring the trigger-0 mean at 1721 h
-# (fixes x) and the trigger-100 mean at 1696 h (fixes r1).
-FITTED_WORKLOAD = {"x": 590.6201, "r1": 0.566316}
 
 _BRANCH = ("c1", "c2", "c3")
 DIST_NAMES = tuple(f.name for f in fields(ModelParams) if f.name not in TRIGGERS + _BRANCH)

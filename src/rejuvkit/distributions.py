@@ -11,6 +11,7 @@ Samplers draw from an externally owned ``numpy.random.Generator``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields, replace
 
@@ -22,7 +23,6 @@ __all__ = [
     "Erlang",
     "Hypoexponential",
     "Deterministic",
-    "POINT_MASS",
     "from_json",
     "to_json",
 ]
@@ -31,18 +31,10 @@ __all__ = [
 _UNITS_PER_HOUR = {"s": 3600.0, "min": 60.0, "h": 1.0, "d": 1.0 / 24.0}
 
 
-class _PointMassMarker:
-    """Sentinel returned by ``density`` for deterministic laws.
-
-    A point mass has no density; Stieltjes integrals against it must
-    collapse to a single function evaluation at the offset.
-    """
-
-    def __repr__(self):  # pragma: no cover - cosmetic
-        return "POINT_MASS"
-
-
-POINT_MASS = _PointMassMarker()
+@functools.cache
+def _rate_names(family) -> tuple:
+    """The float fields of a phase-type family: each is a phase rate."""
+    return tuple(f.name for f in fields(family) if f.type in ("float", float))
 
 
 class Distribution:
@@ -52,13 +44,21 @@ class Distribution:
     with a class-level ``kind`` naming it in JSON fragments.  A phase-type
     family declares only its ``phases``, the rates of the exponential
     phases it runs through in series, and every float field is one of
-    those rates; the mean, the transform, its pole, the time scaling and
-    the (alpha, T) representation follow from them here.  Each family
-    keeps its own closed-form ``cdf``, ``survival``, ``density`` and
-    ``sample``.
+    those rates; construction checks that each is positive and finite,
+    and the mean, the transform, its pole, the time scaling and the
+    (alpha, T) representation follow from them here.  Each family keeps
+    its own closed-form ``survival``, ``density`` and ``sample``; the
+    ``cdf`` is one minus the survival.
     """
 
     kind: str
+
+    def __post_init__(self):
+        for name in _rate_names(type(self)):
+            rate = getattr(self, name)
+            if not (rate > 0.0 and math.isfinite(rate)):
+                family = type(self).__name__.lower()
+                raise ValueError(f"{family} {name} must be positive and finite, got {rate}")
 
     @property
     def phases(self) -> tuple:
@@ -66,10 +66,10 @@ class Distribution:
         raise NotImplementedError
 
     def cdf(self, t: float) -> float:
-        raise NotImplementedError
+        return 1.0 - self.survival(t)
 
     def survival(self, t: float) -> float:
-        return 1.0 - self.cdf(t)
+        raise NotImplementedError
 
     def density(self, t: float):
         raise NotImplementedError
@@ -94,8 +94,7 @@ class Distribution:
 
     def scaled(self, k: float) -> Distribution:
         """The law in a time unit k times longer: rates x k, durations / k."""
-        rates = (f.name for f in fields(self) if f.type in ("float", float))
-        return replace(self, **{name: getattr(self, name) * k for name in rates})
+        return replace(self, **{name: getattr(self, name) * k for name in _rate_names(type(self))})
 
     def with_mean(self, mean: float) -> Distribution:
         """Same family stretched in time to the given mean."""
@@ -128,10 +127,6 @@ class Exponential(Distribution):
     kind = "exp"
     rate: float  # per hour
 
-    def __post_init__(self):
-        if not (self.rate > 0.0 and math.isfinite(self.rate)):
-            raise ValueError(f"exponential rate must be positive, got {self.rate}")
-
     @property
     def phases(self):
         return (self.rate,)
@@ -162,19 +157,13 @@ class Erlang(Distribution):
     shape: int
 
     def __post_init__(self):
-        if not (self.rate > 0.0 and math.isfinite(self.rate)):
-            raise ValueError(f"erlang rate must be positive, got {self.rate}")
         if not (isinstance(self.shape, int) and self.shape >= 1):
             raise ValueError(f"erlang shape must be a positive integer, got {self.shape}")
+        super().__post_init__()
 
     @property
     def phases(self):
         return (self.rate,) * self.shape
-
-    def cdf(self, t):
-        if t <= 0.0:
-            return 0.0
-        return 1.0 - self.survival(t)
 
     def survival(self, t):
         if t <= 0.0:
@@ -230,11 +219,6 @@ class Hypoexponential(Distribution):
     rate1: float
     rate2: float
 
-    def __post_init__(self):
-        for r in (self.rate1, self.rate2):
-            if not (r > 0.0 and math.isfinite(r)):
-                raise ValueError(f"hypoexponential rates must be positive, got {r}")
-
     @property
     def phases(self):
         return (self.rate1, self.rate2)
@@ -244,11 +228,6 @@ class Hypoexponential(Distribution):
         a, b = sorted((self.rate1, self.rate2))
         g = math.expm1(-(b - a) * t) / (b - a) if b > a else -t
         return a, b, math.exp(-a * t), g
-
-    def cdf(self, t):
-        if t <= 0.0:
-            return 0.0
-        return 1.0 - self.survival(t)
 
     def survival(self, t):
         if t <= 0.0:
@@ -263,16 +242,12 @@ class Hypoexponential(Distribution):
         return -a * b * ea * g
 
     def sample(self, rng, size=None):
-        if size is None:
-            return rng.exponential(1.0 / self.rate1) + rng.exponential(1.0 / self.rate2)
-        return rng.exponential(1.0 / self.rate1, size=size) + rng.exponential(
-            1.0 / self.rate2, size=size
-        )
+        return rng.exponential(1.0 / self.rate1, size) + rng.exponential(1.0 / self.rate2, size)
 
 
 @dataclass(frozen=True)
 class Deterministic(Distribution):
-    """Point mass at ``offset``: CDF is the unit step u(t - offset)."""
+    """Point mass at ``offset``: CDF is the unit step u(t - offset), no density."""
 
     kind = "det"
     lst_pole = math.inf
@@ -282,11 +257,8 @@ class Deterministic(Distribution):
         if not (self.offset >= 0.0 and math.isfinite(self.offset)):
             raise ValueError(f"deterministic offset must be >= 0, got {self.offset}")
 
-    def cdf(self, t):
-        return 1.0 if t >= self.offset else 0.0
-
-    def density(self, t):
-        return POINT_MASS
+    def survival(self, t):
+        return 0.0 if t >= self.offset else 1.0
 
     def mean(self):
         return self.offset

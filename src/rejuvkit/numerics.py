@@ -259,14 +259,13 @@ def reachability(P: np.ndarray) -> np.ndarray:
     return reach
 
 
-def _closed_classes(P: np.ndarray):
-    """Recurrent classes of the adjacency pattern of ``P``, by lowest state.
+def _closed_classes(reach: np.ndarray):
+    """Recurrent classes of the reachability matrix ``reach``, by lowest state.
 
     A state is recurrent when every state it reaches reaches it back; its
     class is then the set of states it reaches, and the class's lowest
     state, which reaches no lower one, stands for it.
     """
-    reach = reachability(P)
     recurrent = ~(reach & ~reach.T).any(axis=1)
     lowest = reach.argmax(axis=1) == np.arange(len(reach))
     return [np.flatnonzero(reach[i]).tolist() for i in np.flatnonzero(recurrent & lowest)]
@@ -284,12 +283,18 @@ def dtmc_stationary(P: np.ndarray) -> np.ndarray:
     n = P.shape[0]
     if P.shape != (n, n):
         raise ValueError(f"square matrix required, got {P.shape}")
+    return _stationary(P, reachability(P))
+
+
+def _stationary(P: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """:func:`dtmc_stationary` of a square ``P`` with reachability ``reach``."""
+    n = P.shape[0]
     rows = P.sum(axis=1)
     bad = np.nonzero(np.abs(rows - 1.0) > _STOCHASTIC_TOL)[0]
     if bad.size:
         raise ValueError(f"matrix is not row-stochastic in rows {bad.tolist()} (sums {rows[bad]})")
 
-    closed = _closed_classes(P)
+    closed = _closed_classes(reach)
     if len(closed) != 1:
         outside = sorted(set(range(n)) - set(closed[0])) if closed else list(range(n))
         raise ReducibleChainError(

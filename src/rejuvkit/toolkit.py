@@ -21,7 +21,7 @@ from . import ctmc
 from .analysis import completion_lsts, completion_time, metrics_report
 from .config import ConfigError, RunConfig
 from .distributions import Distribution, Exponential, to_json
-from .model import KERNEL_TARGETS, TRIGGER_SIDES, TRIGGERS, validate
+from .model import TRIGGER_SIDES, TRIGGERS
 from .simulator import SimConfig, simulate_availability, simulate_completion, simulate_mttf
 
 __all__ = [
@@ -229,32 +229,23 @@ def run_simulate(cfg: RunConfig, sim: SimConfig, metrics=("availability", "mttf"
     return rows, agreement
 
 
-def fixing_time_table(cfg: RunConfig, fixing_means, trigger_grid, metrics=("availability", "mttf")):
-    """Optimum trigger per fixing mean (the fixing-time sensitivity study)."""
-    records = []
-    for mean in fixing_means:
-        base = apply_variable(cfg, "fixing_mean", mean)
-        spec = SweepSpec(
-            "trigger_interval",
-            trigger_grid[0],
-            trigger_grid[-1],
-            trigger_grid[1] - trigger_grid[0],
-            metrics=tuple(metrics),
-        )
-        _, optima = run_sweep(base, spec)
-        records.append({"fixing_mean": mean, "optima": optima})
-    return records
+def fixing_time_table(cfg: RunConfig, fixing_means, sweep: SweepSpec):
+    """Optima of the ``sweep`` per fixing mean (the fixing-time sensitivity study)."""
+    return [
+        {"fixing_mean": m, "optima": run_sweep(apply_variable(cfg, "fixing_mean", m), sweep)[1]}
+        for m in fixing_means
+    ]
 
 
 def run_validate(cfg: RunConfig):
-    """Model-consistency battery; list of (check, status, detail)."""
+    """Model-consistency battery; list of (check, status, detail).
+
+    Parameters and kernel row sums are checked where they are built; a
+    failed build shows as ``kernel-construction``."""
     results = []
 
     def record(name, ok, detail=""):
         results.append((name, "pass" if ok else "FAIL", detail))
-
-    problems = validate(cfg.params)
-    record("parameter-invariants", not problems, "; ".join(problems))
 
     try:
         report = metrics_report(cfg.params)
@@ -262,12 +253,6 @@ def run_validate(cfg: RunConfig):
         record("kernel-construction", False, f"{type(exc).__name__}: {exc}")
         return results
     P, v, h = report.kernel, report.stationary, report.sojourn
-    gap = float(np.abs(P.sum(axis=1) - 1.0).max())
-    record("kernel-row-sums", gap <= 1e-12, f"max deviation {gap:.2e}")
-    off_pattern = max(
-        abs(P[i, j]) for i in range(12) for j in range(12) if j not in KERNEL_TARGETS[i]
-    )
-    record("kernel-sparsity", off_pattern == 0.0, f"max off-pattern mass {off_pattern:.2e}")
     resid = float(np.abs(v - v @ P).max())
     record("stationary-residual", resid <= 1e-10, f"residual {resid:.2e}")
     record(

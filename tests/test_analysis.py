@@ -103,6 +103,28 @@ def test_stationary_solve_from_the_start_state():
     assert report.mttf == pytest.approx(1100.0, rel=1e-12)
 
 
+def test_reachability_runs_once_per_report(monkeypatch):
+    from rejuvkit import analysis, numerics
+
+    calls = []
+    real = numerics.reachability
+
+    def counted(P):
+        calls.append(P.shape)
+        return real(P)
+
+    monkeypatch.setattr(numerics, "reachability", counted)
+    monkeypatch.setattr(analysis, "reachability", counted)
+    # the second config leaves a closed class that state 0 never reaches
+    for trigger in (30.0, 1e7):
+        calls.clear()
+        p = make_params(
+            trigger=trigger, aging=Exponential(0.001), failure=Exponential(0.01), c=(1.0, 0.0, 0.0)
+        )
+        metrics_report(p)
+        assert calls == [(12, 12)]
+
+
 def test_mttf_absorption_unreachable_raises():
     # certain triggers/migration always outrun the far point-mass failures:
     # the no-repair chain cycles forever and the visit solve is singular

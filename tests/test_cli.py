@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -176,3 +178,10 @@ def test_import_leaves_scipy_stats_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_every_exported_name_resolves():
+    names = [f"rejuvkit.{m.name}" for m in pkgutil.iter_modules(rejuvkit.__path__)]
+    for module in [rejuvkit, *map(importlib.import_module, names)]:
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert not missing, (module.__name__, missing)

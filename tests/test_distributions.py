@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from rejuvkit import POINT_MASS, Deterministic, Erlang, Exponential, Hypoexponential
+from rejuvkit import Deterministic, Erlang, Exponential, Hypoexponential
 from rejuvkit.distributions import from_json, to_json
 from tests.quadrature import integrate, integrate_piecewise, truncation_point
 
@@ -76,11 +76,6 @@ def test_hypoexponential_density_closed_form_and_numeric():
         eps = 1e-6
         numeric = (d.cdf(t + eps) - d.cdf(t - eps)) / (2 * eps)
         assert d.density(t) == pytest.approx(numeric, rel=1e-5)
-
-
-def test_density_point_mass_marker():
-    assert Deterministic(5.0).density(5.0) is POINT_MASS
-    assert Deterministic(5.0).density(0.0) is POINT_MASS
 
 
 def _hypo_reference(a, b, t):
@@ -335,13 +330,23 @@ def test_json_rejects_unknowns():
 
 
 def test_construction_validates_parameters():
-    with pytest.raises(ValueError):
-        Exponential(0.0)
-    with pytest.raises(ValueError):
-        Exponential(-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="shape"):
         Erlang(1.0, 0)
-    with pytest.raises(ValueError):
-        Hypoexponential(1.0, -2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="offset"):
         Deterministic(-0.5)
+    Deterministic(0.0)  # a zero offset is a legal point mass
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize(
+    "family, field, valid",
+    [
+        (Exponential, "rate", {"rate": 1.0}),
+        (Erlang, "rate", {"rate": 1.0, "shape": 2}),
+        (Hypoexponential, "rate1", {"rate1": 1.0, "rate2": 2.0}),
+        (Hypoexponential, "rate2", {"rate1": 1.0, "rate2": 2.0}),
+    ],
+)
+def test_construction_rejects_bad_rates_by_field(family, field, valid, value):
+    with pytest.raises(ValueError, match=rf"^{family.__name__.lower()} {field} must be"):
+        family(**{**valid, field: value})

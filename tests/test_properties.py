@@ -92,7 +92,9 @@ def test_derived_transforms_match_closed_forms_property(d, u, k):
 
 # branch probabilities at the corners and edges of the simplex, plus interior
 BRANCHES = st.one_of(
-    st.sampled_from([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.5, 0.5, 0.0)]),
+    st.sampled_from(
+        [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.5, 0.5, 0.0), (0.0, 0.9, 0.1)]
+    ),
     st.tuples(st.floats(0.05, 0.9), st.floats(0.0, 1.0)).map(
         lambda t: (t[0], (1.0 - t[0]) * t[1], (1.0 - t[0]) * (1.0 - t[1]))
     ),
@@ -171,6 +173,8 @@ def _completion_or_skip(p, w):
 
 @METRICS
 @given(completion_setups())
+# both gate laws have run out by the trigger epoch: 1 - 0.9 - 0.1 < 0
+@example(setup=(make_params(trigger=200.0, c=(0.0, 0.9, 0.1)), WorkloadSpec(x=400.0)))
 def test_post_trigger_masses_split_the_survivors_property(setup):
     p, w = setup
     for case in completion_cases(p, w):
