@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Deterministic, Distribution
-from .model import ModelConsistencyError, ModelParams, sojourn_times, transition_matrix
+from .model import ModelConsistencyError, ModelParams, _kernel
 from .numerics import (
     AbsorptionUnreachable, _stationary, absorbing_visits, phase_window, reachability
 )
@@ -138,8 +138,7 @@ class MetricsReport:
 
 def metrics_report(p: ModelParams, w: WorkloadSpec | None = None) -> MetricsReport:
     """All analytic metrics from one model build."""
-    P = transition_matrix(p)
-    h = sojourn_times(p)
+    P, h = _kernel(p)
     # a transition too rare to represent (0.0) can split off a closed class
     # that state 0 never visits; the closed set that state 0 reaches gets all mass
     reach = reachability(P)
@@ -278,7 +277,7 @@ def _ab(case: _Case, s: float):
     aging transforms and J the windowed failure transforms; from a window's
     (transform W, moment M), J' = -M_pre - e^{-s tau} sum m (tau W + M).
     """
-    surv = sum(m * (1.0 - law.cdf(case.delta)) for m, law in case.post)
+    surv = sum(m * law.survival(case.delta) for m, law in case.post)
     A = math.exp(-s * case.t0) * surv
     J, moment = _window(case.pre_fail, s, case.tau)
     post = [(m, *_window(law, s, case.delta)) for m, law in case.post]
@@ -294,20 +293,22 @@ def _pair(cases, w: WorkloadSpec, s: float):
     """((phi1, phi2), (phi1', phi2')) of the two case transforms at s.
 
     The pair is lower triangular: phi1 = A1 / (1 - B1), and the backup
-    case is A2 + B2 phi1 or, restarting into itself, A2 / (1 - B2).
+    case is A2 + B2 phi1 or, restarting into itself, A2 / (1 - B2).  At
+    s = 0, A stands for 1 - B (conservation), which cancels as B(0) nears 1.
     """
     (A1, B1, dA1, dB1), (A2, B2, dA2, dB2) = (_ab(case, s) for case in cases)
-    if B1 >= 1.0 or (not w.backup_restart_via_primary and B2 >= 1.0):
+    gap1, gap2 = (A1, A2) if s == 0.0 else (1.0 - B1, 1.0 - B2)
+    if gap1 <= 0.0 or (not w.backup_restart_via_primary and gap2 <= 0.0):
         raise CompletionDivergenceError(
             f"restart mass B(s={s}) >= 1: the execution never completes under "
             "this workload/failure configuration"
         )
-    phi1 = A1 / (1.0 - B1)
-    d1 = (dA1 + phi1 * dB1) / (1.0 - B1)
+    phi1 = A1 / gap1
+    d1 = (dA1 + phi1 * dB1) / gap1
     if w.backup_restart_via_primary:
         return (phi1, A2 + B2 * phi1), (d1, dA2 + dB2 * phi1 + B2 * d1)
-    phi2 = A2 / (1.0 - B2)
-    return (phi1, phi2), (d1, (dA2 + phi2 * dB2) / (1.0 - B2))
+    phi2 = A2 / gap2
+    return (phi1, phi2), (d1, (dA2 + phi2 * dB2) / gap2)
 
 
 def completion_lsts(p: ModelParams, w: WorkloadSpec, s: float) -> tuple[float, float]:

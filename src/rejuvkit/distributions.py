@@ -170,7 +170,8 @@ class Erlang(Distribution):
             return 1.0
         # sum_{n<k} (rate t)^n/n! * exp(-rate t); for large shapes the
         # partial sums are divided down before they overflow, with the
-        # logarithm of the divisor kept in `shift`
+        # logarithm of the divisor kept in `shift`; past x = 700, e^{-x}
+        # nears underflow, so the exit is taken in log space
         x = self.rate * t
         term = 1.0
         acc = 1.0
@@ -182,7 +183,7 @@ class Erlang(Distribution):
                 shift += math.log(acc)
                 term /= acc
                 acc = 1.0
-        if shift:
+        if shift or x > 700.0:
             return min(1.0, math.exp(math.log(acc) + shift - x))
         return min(1.0, acc * math.exp(-x))
 

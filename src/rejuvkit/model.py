@@ -20,12 +20,13 @@ events are "thinned": with probability ``c`` they fire after their law's
 duration, otherwise never.  One-step transition probabilities are
 integrals of the winner's density against the survival product of the
 other events, and mean sojourn times integrate the full survival
-product.  Every timed law is phase-type or a point mass, so each
-integral is evaluated exactly by :func:`numerics.phase_integral`: the
-trigger steps cut it into segments, and the thinned survivals expand
-into a few products of phase-type survivals.  A kernel row is the plain
-sum of its events' integrals, divided by that sum once it is checked to
-be 1; no entry is derived from its siblings.
+product.  Every timed law is phase-type or a point mass: the trigger
+steps cut each integral into segments, and the thinned survivals expand
+once per state into a few products of phase-type survivals.  One call
+of :func:`numerics.phase_integral` per product gives, exactly, its share
+of every entry of the row and of the sojourn time.  A kernel row is the
+plain sum of its events' integrals, divided by that sum once it is
+checked to be 1; no entry is derived from its siblings.
 """
 
 from __future__ import annotations
@@ -206,51 +207,43 @@ def state_events(p: ModelParams) -> list[list[_Event]]:
     ]
 
 
-def _race(events, skip=None):
-    """(terms, steps) of the survival product of ``events`` less ``skip``.
+def _row(events):
+    """(P(event k fires first) for each k, mean time until one fires).
 
-    A point mass is a step: its factor 1 - c applies from its offset on.
-    A thinned phase-type survival 1 - cF = (1 - c) + cS expands the
-    product into terms ``(coefficient, laws)`` of proper survivals.
+    A point mass is evaluated at its offset, and is a step for the
+    integrals: its factor 1 - c applies from the offset on.  Each thinned
+    phase-type survival 1 - cF = (1 - c) + cS is expanded once; each
+    product of survivals, with its coefficient (which holds each event's
+    own c), adds its integrals into its events' entries and the sojourn.
     """
-    terms = [(1.0, ())]
+    totals = np.zeros(len(events) + 1)  # each event's entry, then the sojourn
     steps = []
-    for k, ev in enumerate(events):
-        if k == skip or ev.thin == 0.0:
+    products = [(1.0, ())]
+    for j, ev in enumerate(events):
+        if ev.thin == 0.0:
             continue
-        if isinstance(ev.dist, Deterministic):
-            steps.append((ev.dist.offset, 1.0 - ev.thin))
+        if not isinstance(ev.dist, Deterministic):
+            split = [(ev.thin, (j,))] + ([(1.0 - ev.thin, ())] if ev.thin < 1.0 else [])
+            products = [(c * cs, ks + extra) for c, ks in products for cs, extra in split]
             continue
-        split = [(ev.thin, (ev.dist,))] + ([(1.0 - ev.thin, ())] if ev.thin < 1.0 else [])
-        terms = [(c * cs, laws + extra) for c, laws in terms for cs, extra in split]
-    return terms, steps
-
-
-def _entry(events, j):
-    """P(event j fires first among the independent competing events)."""
-    ev = events[j]
-    if ev.thin == 0.0:
-        return 0.0
-    if isinstance(ev.dist, Deterministic):
-        # exact point evaluation; simultaneous deterministic firings are
-        # awarded to the earlier-listed event so that rows still sum to 1
+        # simultaneous deterministic firings are awarded to the
+        # earlier-listed event so that rows still sum to 1: a point mass
+        # at t listed from j on (j itself included) has not fired
         t = ev.dist.offset
+        steps.append((t, 1.0 - ev.thin))
         acc = ev.thin
         for k, other in enumerate(events):
-            if k == j:
-                continue
-            if isinstance(other.dist, Deterministic):
-                fired = other.dist.offset < t or (other.dist.offset == t and k < j)
-                acc *= 1.0 - other.thin if fired else 1.0
-            else:
+            if not (isinstance(other.dist, Deterministic) and other.dist.offset == t and k >= j):
                 acc *= 1.0 - other.thin * other.dist.cdf(t)
-        return acc
+        totals[j] = acc
+    for c, ks in products:
+        totals[[*ks, -1]] += c * phase_integral(tuple(events[k].dist for k in ks), steps)
     # an integral of true size ~1e-35 can round to a few -1e-17
-    return max(0.0, ev.thin * phase_integral(ev.dist, *_race(events, skip=j)))
+    return np.maximum(totals[:-1], 0.0), totals[-1]
 
 
-def transition_matrix(p: ModelParams) -> np.ndarray:
-    """One-step transition probability matrix of the embedded DTMC.
+def _kernel(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """(P, h): the embedded DTMC's transition matrix and the mean sojourns.
 
     Each entry is the exact competing-risks integral of its event, so a
     row is the plain sum of its events' entries.  A row whose sum strays
@@ -258,9 +251,11 @@ def transition_matrix(p: ModelParams) -> np.ndarray:
     row is then divided by its sum, which removes the rounding.
     """
     P = np.zeros((N_STATES, N_STATES))
+    h = np.zeros(N_STATES)
     for i, evs in enumerate(state_events(p)):
-        for j, ev in enumerate(evs):
-            P[i, ev.target] += _entry(evs, j)
+        entries, h[i] = _row(evs)
+        for ev, e in zip(evs, entries):
+            P[i, ev.target] += e
         total = P[i].sum()
         if abs(total - 1.0) > _ROW_SUM_TOL:
             raise ModelConsistencyError(
@@ -268,12 +263,17 @@ def transition_matrix(p: ModelParams) -> np.ndarray:
                 f"before normalisation (off by {abs(total - 1.0):.3e})"
             )
         P[i] /= total
-    return P
+    return P, h
+
+
+def transition_matrix(p: ModelParams) -> np.ndarray:
+    """One-step transition probability matrix of the embedded DTMC."""
+    return _kernel(p)[0]
 
 
 def sojourn_times(p: ModelParams) -> np.ndarray:
     """Mean sojourn time per state: integral of the survival product."""
-    return np.array([phase_integral(None, *_race(evs)) for evs in state_events(p)])
+    return _kernel(p)[1]
 
 
 def validate(p: ModelParams) -> list[str]:

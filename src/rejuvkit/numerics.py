@@ -3,14 +3,15 @@
 Every law in the model is phase-type (alpha, T) or a point mass, so the
 integrals of competing-risks survival products, and the windowed
 transforms of the completion analysis, have closed matrix forms; they
-are evaluated here exactly, with no quadrature.  The model is 12
+are evaluated here exactly, with no quadrature: one solve per product
+of survivals gives all of its integrals at once.  The model is 12
 states, so the chain solves are dense with partial pivoting.
 
 The memos of exact work all live here, as bounded LRU caches keyed by
 value, and the arrays they hold are read-only: ``_term_solution`` (256
 entries; it depends on the laws only, so a trigger sweep shares it),
 ``_track`` (32: a law's row vectors at one state's trigger edges, shared
-by every entry of the row and by its sojourn time), ``phase_window``
+by the products of the row), ``phase_window``
 (32: what one completion evaluation meets) and ``_levels`` (64 tensor
 shapes).
 """
@@ -60,14 +61,15 @@ def _levels(shape):
 def kron_sum_solve(generators, V):
     """X with -(T_1 (+) ... (+) T_m) X = V, for upper-triangular T_k.
 
-    ``V`` and ``X`` are tensors with one axis per generator.  Each
+    ``V`` and ``X`` are tensors with one axis per generator, and an
+    optional trailing axis that stacks right-hand sides.  Each
     off-diagonal entry of the Kronecker sum couples an unknown to one of a
     higher level sum(i_k), so the unknowns are back-substituted level by
     level, highest first, one vectorised step per level.  The sum is never
     formed: memory and work stay proportional to the number of unknowns.
     """
     shape = tuple(T.shape[0] for T in generators)
-    size = V.size
+    size = int(np.prod(shape))
     strides = [int(np.prod(shape[k + 1 :])) for k in range(len(shape))]
     diag = np.zeros(shape)
     couplings = []
@@ -77,25 +79,26 @@ def kron_sum_solve(generators, V):
         for d in range(1, shape[k]):
             upper = np.append(np.diag(T, d), np.zeros(d))
             if upper.any():
-                couplings.append((d * strides[k], np.broadcast_to(upper[axis], shape).ravel()))
-    diag = diag.ravel()
-    rhs = np.asarray(V, dtype=float).ravel()
+                coeff = np.broadcast_to(upper[axis], shape).reshape(size, 1)
+                couplings.append((d * strides[k], coeff))
+    diag = diag.ravel()[:, None]
+    rhs = np.reshape(V, (size, -1))
     # trailing zeros absorb the couplings that run past an axis end (their
     # coefficient is 0); unknowns not yet solved also read as 0
-    X = np.zeros(size + max((step for step, _ in couplings), default=0))
+    X = np.zeros((size + max((step for step, _ in couplings), default=0), rhs.shape[1]))
     for idx in _levels(shape):
         acc = rhs[idx]
         for step, coeff in couplings:
             acc = acc + coeff[idx] * X[idx + step]
         X[idx] = acc / diag[idx]
-    return X[:size].reshape(shape)
+    return X[:size].reshape(np.shape(V))
 
 
 def _contract(rows, x):
-    """(row_1 (x) ... (x) row_m) . x for a tensor ``x`` with one axis per row."""
+    """(row_1 (x) ... (x) row_m) . x over the leading axes of ``x``, per trailing index."""
     for r in rows:
         x = r @ x.reshape(r.size, -1)
-    return float(x[0])
+    return x.reshape(-1)
 
 
 def _expm_triangular(M):
@@ -152,13 +155,14 @@ def _segment(d, length):
 
 # depends on the laws, not the trigger offsets: a trigger sweep shares it
 @functools.lru_cache(maxsize=256)
-def _term_solution(laws, density):
-    """x = (-K)^{-1} v of one term; with ``density``, laws[0] is the density's."""
+def _term_solution(laws):
+    """x = (-K)^{-1} V of one product of ``laws``, V stacking one exit vector
+    on each axis in turn (unit vectors on the rest), then unit vectors only."""
     generators = [d.phase_type[1] for d in laws]
-    v = [np.ones(T.shape[0]) for T in generators]
-    if density:
-        v[0] = -generators[0].sum(axis=1)
-    x = kron_sum_solve(generators, functools.reduce(np.multiply.outer, v))
+    V = np.ones(tuple(T.shape[0] for T in generators) + (len(laws) + 1,))
+    for k, T in enumerate(generators):
+        V[..., k] *= -T.sum(axis=1).reshape((-1,) + (1,) * (len(laws) - k - 1))
+    x = kron_sum_solve(generators, V)
     x.setflags(write=False)
     return x
 
@@ -178,52 +182,44 @@ def _track(d, edges):
     return tuple(rows), tuple(drops)
 
 
-def phase_integral(density, terms, steps=()) -> float:
-    """Exact integral over [0, inf) of m(t) f(t) sum_terms c prod_laws S(t).
+def phase_integral(laws, steps=()) -> np.ndarray:
+    """Exact integrals over [0, inf) of m(t) against the race of ``laws``.
 
-    f is the density of the phase-type law ``density`` (``None``: f = 1);
-    each term ``(c, laws)`` multiplies the survivals of phase-type
-    ``laws``; m(t) is the product of the factors of the ``steps``
-    ``(offset, factor)`` with offset <= t, so the offsets cut [0, inf)
-    into segments.
+    Returns, for each phase-type law k, the integral of m(t) f_k(t)
+    prod_{j != k} S_j(t), then that of m(t) prod_j S_j(t); m(t) is the
+    product of the factors of the ``steps`` ``(offset, factor)`` with
+    offset <= t, so the offsets cut [0, inf) into segments.
 
-    A term is (alpha_1 (x) ... (x) alpha_m) e^{Kt} v, with K the Kronecker
-    sum of the T_k and v the product of the exit vector (density) and unit
-    vectors (survivals).  With x = (-K)^{-1} v, solved once per term, the
-    integral over [a, b) is R(a) - R(b), R(t) = (r_1(t) (x) ... (x) r_m(t)) . x
-    with r_k(t) = alpha_k e^{T_k t}, and R(inf) = 0.  The difference is
-    telescoped one factor r_k(a) (I - e^{T_k (b - a)}) at a time, so short
-    segments keep their relative precision.  A term without laws
-    integrates m alone.
+    Each integrand is (alpha_1 (x) ... (x) alpha_m) e^{Kt} v, with K the
+    Kronecker sum of the T_k and v unit vectors, but for an exit vector
+    on axis k in the density of law k.  With x = (-K)^{-1} v, all m + 1
+    solved at once, the integral over [a, b) is R(a) - R(b), with
+    R(t) = (r_1(t) (x) ... (x) r_m(t)) . x, r_k(t) = alpha_k e^{T_k t},
+    and R(inf) = 0.  The difference is telescoped one factor
+    r_k(a) (I - e^{T_k (b - a)}) at a time, so short segments keep their
+    relative precision.  Without laws, m alone is integrated.
     """
     edges = tuple(sorted({0.0, *(off for off, _ in steps if off > 0.0)}))
     weights = [math.prod(f for off, f in steps if off <= a) for a in edges]
+    if not laws:
+        if weights[-1] != 0.0:
+            raise ArithmeticError("survival product does not decay: infinite integral")
+        return np.array([sum(w * (b - a) for w, a, b in zip(weights, edges, edges[1:]))])
 
-    total = 0.0
-    for c, laws in terms:
-        if c == 0.0:
+    x = _term_solution(laws)
+    rows, drops = zip(*(_track(d, edges) for d in laws))
+    acc = np.zeros(len(laws) + 1)
+    for i, w in enumerate(weights):
+        if w == 0.0:
             continue
-        laws = (density, *laws) if density is not None else laws
-        if not laws:
-            if weights[-1] != 0.0:
-                raise ArithmeticError("survival product does not decay: infinite integral")
-            total += c * sum(w * (b - a) for w, a, b in zip(weights, edges, edges[1:]))
+        start = [r[i] for r in rows]
+        if i + 1 == len(edges):
+            acc += w * _contract(start, x)
             continue
-        x = _term_solution(laws, density is not None)
-        rows, drops = zip(*(_track(d, edges) for d in laws))
-        acc = 0.0
-        for i, w in enumerate(weights):
-            if w == 0.0:
-                continue
-            start = [r[i] for r in rows]
-            if i + 1 == len(edges):
-                acc += w * _contract(start, x)
-                continue
-            end = [r[i + 1] for r in rows]
-            for k in range(len(laws)):
-                acc += w * _contract([*end[:k], drops[k][i], *start[k + 1 :]], x)
-        total += c * acc
-    return total
+        end = [r[i + 1] for r in rows]
+        for k in range(len(laws)):
+            acc += w * _contract([*end[:k], drops[k][i], *start[k + 1 :]], x)
+    return acc
 
 
 # one completion evaluation meets each (law, s, window) several times

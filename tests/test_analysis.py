@@ -270,12 +270,18 @@ def test_deep_trigger_splits_the_survivors():
     assert math.isfinite(mean) and mean >= 3000.0
 
 
-@pytest.mark.parametrize("x", [1600.0, 1700.0, 1800.0])
+@pytest.mark.parametrize("x", [1000.0, 1600.0, 1700.0, 1800.0, 3000.0, 5000.0])
 def test_conservation_holds_when_restarts_dominate(x):
-    # 1 - B(0) is about 4e-8 here; A(0) + B(0) = 1 still holds to rounding
-    p = make_params(trigger=0.0, failure=Exponential(0.01))
+    # 1 - B(0) is about 4e-8 at x = 1700; A(0) + B(0) = 1 still holds to
+    # rounding.  Each attempt completes with q = e^{-lam x}, so
+    # E[T] = (1 - q)(1/lam + E[overhead] + E[aging]) / q; at x = 5000,
+    # 1 - B(0) = q = 1.9e-22 is lost to rounding, and A(0) is not
+    lam = 0.01
+    p = make_params(trigger=0.0, failure=Exponential(lam))
     mean = completion_time(p, WorkloadSpec(x=x))
     assert math.isfinite(mean) and mean >= x
+    restart = 1.0 / lam + p.fixing_primary.mean() + p.aging_primary.mean()
+    assert mean == pytest.approx(-math.expm1(-lam * x) * restart / math.exp(-lam * x), rel=1e-12)
 
 
 def test_workload_validation():

@@ -105,7 +105,14 @@ def test_erlang_large_shape():
     with decimal.localcontext() as ctx:
         ctx.prec = 60
         exact = Decimal(500) ** 199 / math.factorial(199) * Decimal(-500).exp()
+        # at x = 800, e^{-x} underflows while the partial sum is still small
+        term, tail = Decimal(1), Decimal(1)
+        for n in range(1, 200):
+            term = term * 800 / n
+            tail += term
+        tail *= Decimal(-800).exp()
     assert d.density(500.0) == pytest.approx(float(exact), rel=1e-12)
+    assert d.survival(800.0) == pytest.approx(float(tail), rel=1e-12)
     assert d.density(200.0) > d.density(500.0) > 0.0
     assert d.survival(2637.0) == 0.0
     assert Erlang(200.0, 200).survival(0.1) <= 1.0

@@ -239,6 +239,24 @@ def test_row_sum_guard_catches_corruption(monkeypatch):
         transition_matrix(make_params())
 
 
+def test_each_survival_product_is_integrated_once(monkeypatch):
+    # one call per product of survivals: one in each of the ten rows whose
+    # phase-type events are never thinned, and four in each of rows 1 and
+    # 8, where the thinned reboot and fixing survivals split in two each
+    import rejuvkit.model as model
+
+    real = model.phase_integral
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(model, "phase_integral", counted)
+    metrics_report(load_config("preset_f_hypo").params)
+    assert len(calls) == 18
+
+
 def test_time_scale_invariance_quick():
     p = make_params()
     P = transition_matrix(p)

@@ -226,39 +226,44 @@ def _sub_generator(rng, n):
 def test_kron_sum_solve_matches_dense(rng):
     for shape in [(1,), (3,), (2, 1), (1, 3), (3, 2), (2, 3, 2), (4, 1, 3, 2)]:
         Ts = [_sub_generator(rng, n) for n in shape]
-        V = rng.uniform(0.0, 1.0, size=shape)
         K = Ts[0]
         for T in Ts[1:]:
             K = np.kron(K, np.eye(T.shape[0])) + np.kron(np.eye(K.shape[0]), T)
-        dense = np.linalg.solve(-K, V.ravel())
-        X = kron_sum_solve(Ts, V)
-        assert X.shape == shape
-        assert np.abs(X.ravel() - dense).max() <= 1e-12 * np.abs(dense).max()
+        # one right-hand side, then three stacked on a trailing axis
+        for V in (rng.uniform(0.0, 1.0, size=shape), rng.uniform(0.0, 1.0, size=shape + (3,))):
+            dense = np.linalg.solve(-K, V.reshape(K.shape[0], -1))
+            X = kron_sum_solve(Ts, V)
+            assert X.shape == V.shape
+            assert np.abs(X.reshape(dense.shape) - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
 def test_phase_integral_two_exponential_race():
+    # each law's chance to fire first, then the mean time to the first firing
     kappa, omega = 120.5, 0.0010432
-    value = phase_integral(Exponential(kappa), [(1.0, (Exponential(omega),))])
-    assert value == pytest.approx(kappa / (kappa + omega), abs=1e-15)
+    values = phase_integral((Exponential(kappa), Exponential(omega)))
+    closed = [kappa / (kappa + omega), omega / (kappa + omega), 1.0 / (kappa + omega)]
+    assert np.abs(values - closed).max() <= 1e-15
 
 
 def test_phase_integral_steps_cut_segments():
     # survival e^{-lt} weighted 1 before tau and w after: a truncated mean
     # plus a weighted tail
     lam, tau, w = 0.3, 2.5, 0.25
-    value = phase_integral(None, [(1.0, (Exponential(lam),))], [(tau, w)])
+    value = phase_integral((Exponential(lam),), [(tau, w)])[-1]
     closed = (1.0 - math.exp(-lam * tau)) / lam + w * math.exp(-lam * tau) / lam
     assert value == pytest.approx(closed, rel=1e-14)
-    # a thinned term splits into its constant and survival parts
-    value = phase_integral(None, [(0.4, ()), (0.6, (Exponential(lam),))], [(tau, 0.0)])
+    # a thinned survival splits into its constant and survival parts
+    steps = [(tau, 0.0)]
+    constant, survival = phase_integral((), steps), phase_integral((Exponential(lam),), steps)
+    value = 0.4 * constant[-1] + 0.6 * survival[-1]
     closed = 0.4 * tau + 0.6 * (1.0 - math.exp(-lam * tau)) / lam
     assert value == pytest.approx(closed, rel=1e-14)
 
 
 def test_phase_integral_point_masses_only():
-    assert phase_integral(None, [(1.0, ())], [(2.0, 0.5), (5.0, 0.0)]) == 2.0 + 0.5 * 3.0
+    assert phase_integral((), [(2.0, 0.5), (5.0, 0.0)]).tolist() == [2.0 + 0.5 * 3.0]
     with pytest.raises(ArithmeticError, match="infinite"):
-        phase_integral(None, [(1.0, ())], [(2.0, 0.5)])
+        phase_integral((), [(2.0, 0.5)])
 
 
 def test_phase_window_closed_forms():
