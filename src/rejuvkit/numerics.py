@@ -11,9 +11,8 @@ The memos of exact work all live here, as bounded LRU caches keyed by
 value, and the arrays they hold are read-only: ``_term_solution`` (256
 entries; it depends on the laws only, so a trigger sweep shares it),
 ``_track`` (32: a law's row vectors at one state's trigger edges, shared
-by the products of the row), ``phase_window``
-(32: what one completion evaluation meets) and ``_levels`` (64 tensor
-shapes).
+by the products of the row) and ``phase_window`` (32: what one
+completion evaluation meets).
 """
 
 from __future__ import annotations
@@ -47,26 +46,16 @@ class ReducibleChainError(ValueError):
         self.states = tuple(states)
 
 
-@functools.lru_cache(maxsize=64)
-def _levels(shape):
-    """Flat indices of a C-ordered tensor grouped by level sum(i_k), highest first."""
-    level = np.zeros(shape, dtype=np.intp)
-    for k, n in enumerate(shape):
-        level = level + np.arange(n).reshape((n,) + (1,) * (len(shape) - k - 1))
-    level = level.ravel()
-    order = np.argsort(-level, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(level)[::-1])[:-1])
-
-
 def kron_sum_solve(generators, V):
     """X with -(T_1 (+) ... (+) T_m) X = V, for upper-triangular T_k.
 
     ``V`` and ``X`` are tensors with one axis per generator, and an
     optional trailing axis that stacks right-hand sides.  Each
     off-diagonal entry of the Kronecker sum couples an unknown to one of a
-    higher level sum(i_k), so the unknowns are back-substituted level by
-    level, highest first, one vectorised step per level.  The sum is never
-    formed: memory and work stay proportional to the number of unknowns.
+    higher C-order index, so the unknowns are back-substituted one at a
+    time in reverse index order, all right-hand sides at once.  The sum is
+    never formed: memory and work stay proportional to the number of
+    unknowns.
     """
     shape = tuple(T.shape[0] for T in generators)
     size = int(np.prod(shape))
@@ -84,13 +73,13 @@ def kron_sum_solve(generators, V):
     diag = diag.ravel()[:, None]
     rhs = np.reshape(V, (size, -1))
     # trailing zeros absorb the couplings that run past an axis end (their
-    # coefficient is 0); unknowns not yet solved also read as 0
+    # coefficient is 0)
     X = np.zeros((size + max((step for step, _ in couplings), default=0), rhs.shape[1]))
-    for idx in _levels(shape):
-        acc = rhs[idx]
+    for i in range(size - 1, -1, -1):
+        acc = rhs[i]
         for step, coeff in couplings:
-            acc = acc + coeff[idx] * X[idx + step]
-        X[idx] = acc / diag[idx]
+            acc = acc + coeff[i] * X[i + step]
+        X[i] = acc / diag[i]
     return X[:size].reshape(np.shape(V))
 
 

@@ -106,9 +106,7 @@ def _occupancy_rep(events, rng, horizon, warmup):
         overlap = end - max(t, warmup)
         if overlap > 0.0:
             occupancy[state] += overlap
-        if not math.isfinite(dt):  # every armed event declined; cannot happen
-            break  # pragma: no cover - defensive
-        t += dt
+        t += dt  # inf, when every armed event declines, ends the run
         state = nxt
     return occupancy / (horizon - warmup)
 

@@ -128,13 +128,13 @@ def run_analyze(cfg: RunConfig):
     return report, rows
 
 
-def _refine_golden(f, lo, hi, minimise, iterations=48):
+def _refine_golden(f, lo, hi, minimise):
     a, b = lo, hi
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
     sign = 1.0 if minimise else -1.0
-    for _ in range(iterations):
+    for _ in range(48):
         if sign * f1 < sign * f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
@@ -271,19 +271,18 @@ def run_validate(cfg: RunConfig):
     else:
         results.append(("completion-conservation", "skip", "no workload block"))
 
-    # degenerate branches and exponential stand-ins for the trigger steps
-    # make the chain an exact CTMC when its remaining laws are exponential;
-    # compares the two engines
+    # degenerate branches and exponential stand-ins of the triggers' means
+    # (a trigger may be a law) make the chain an exact CTMC when its
+    # remaining laws are exponential; compares the two engines
+    means = {k: getattr(cfg.params, k) for k in TRIGGERS}
+    means = {k: a.mean() if isinstance(a, Distribution) else float(a) for k, a in means.items()}
     try:
         oracle = replace(
             cfg.params,
             c1=1.0,
             c2=0.0,
             c3=0.0,
-            **{
-                k: Exponential(1.0 / max(float(getattr(cfg.params, k)), 1e-6))
-                for k in TRIGGERS
-            },
+            **{k: Exponential(1.0 / max(m, 1e-6)) for k, m in means.items()},
         )
         a_ct = ctmc.availability_ctmc(oracle)
         m_ct = ctmc.mttf_ctmc(oracle)

@@ -103,6 +103,26 @@ def test_simulate_deterministic_csv(config_file, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_simulate_cli_one_block_per_trigger(capsys, tmp_path):
+    out = tmp_path / "sim.csv"
+    argv = [
+        "simulate", "--config", "preset_f_hypo", "--reps", "5", "--seed", "3",
+        "--horizon", "20000", "--triggers", "10,30", "--out", str(out),
+    ]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:3] for line in lines] == [
+        ["availability", "trigger", "10.0:"],
+        ["mttf", "trigger", "10.0:"],
+        ["availability", "trigger", "30.0:"],
+        ["mttf", "trigger", "30.0:"],
+    ]
+    rows = out.read_text().splitlines()[1:]
+    assert [row.split(",")[1:3] for row in rows] == [
+        ["10", "availability"], ["10", "mttf"], ["30", "availability"], ["30", "mttf"]
+    ]
+
+
 def test_sweep_cli(config_file, capsys, tmp_path):
     out = tmp_path / "sweep.csv"
     code = main(

@@ -224,7 +224,7 @@ def _sub_generator(rng, n):
 
 
 def test_kron_sum_solve_matches_dense(rng):
-    for shape in [(1,), (3,), (2, 1), (1, 3), (3, 2), (2, 3, 2), (4, 1, 3, 2)]:
+    for shape in [(1,), (3,), (2, 1), (1, 3), (3, 2), (2, 3, 2), (4, 1, 3, 2), (30, 2, 2)]:
         Ts = [_sub_generator(rng, n) for n in shape]
         K = Ts[0]
         for T in Ts[1:]:

@@ -3,6 +3,7 @@ import pytest
 import rejuvkit.simulator as sim
 from rejuvkit import (
     Deterministic,
+    Exponential,
     SimConfig,
     WorkloadSpec,
     availability,
@@ -133,10 +134,19 @@ def test_guard_horizon_truncation_reported(monkeypatch):
     assert est.mean == 5000.0
 
 
+def test_completion_guard_horizon_truncation_reported(monkeypatch):
+    monkeypatch.setattr(sim, "GUARD_HORIZON", 5000.0)
+    # an attempt of several hundred hours against a 20-hour mean failure
+    # time: every replication keeps restarting past the guard
+    p = make_params(failure=Exponential(0.05))
+    w = WorkloadSpec(x=590.6201, r1=0.566316)
+    est = simulate_completion(p, w, SimConfig(replications=4, seed=17))
+    assert est.truncated == 4
+    assert est.mean == 5000.0
+
+
 @pytest.mark.parametrize("trigger", ["a1", "a4"])
 def test_completion_rejects_distribution_trigger_like_analysis(trigger):
-    from rejuvkit import Exponential
-
     p = make_params(**{trigger: Exponential(1.0 / 30.0)})
     w = WorkloadSpec(x=590.6201, r1=0.566316)
     with pytest.raises(ValueError) as analytic:

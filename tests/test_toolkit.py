@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from rejuvkit.analysis import completion_time
 from rejuvkit.config import (
     ConfigError,
     FAMILY_DEFAULTS,
@@ -277,6 +278,23 @@ def test_run_simulate_agreement_and_determinism():
     assert {e["trigger"] for e in agreement} == {10.0, 30.0}
 
 
+def test_run_simulate_completion_rows_and_determinism():
+    cfg = load_config("preset_f_hypo")
+    sim = SimConfig(replications=300, seed=11)
+    rows_a, agreement_a = run_simulate(cfg, sim, ("completion",), triggers=[0.0, 50.0])
+    rows_b, agreement_b = run_simulate(cfg, sim, ("completion",), triggers=[0.0, 50.0])
+    assert rows_a == rows_b
+    assert agreement_a == agreement_b
+    assert [(r[1], r[2]) for r in rows_a] == [(0.0, "completion"), (50.0, "completion")]
+    for row, entry in zip(rows_a, agreement_a):
+        point = apply_variable(cfg, "trigger_interval", row[1])
+        est = entry["estimate"]
+        assert row[3] == entry["analytic"] == completion_time(point.params, point.workload)
+        assert row[4:] == (est.mean, est.ci_low, est.ci_high)
+        assert (est.metric, est.replications) == ("completion", 300)
+        assert entry["agree"] == est.contains(row[3])
+
+
 def test_run_validate_battery_passes_on_bundles():
     for name in ("table7_defaults", "preset_f_hypo", "preset_a_hypo_f_hypo_erl"):
         cfg = load_config(name)
@@ -309,7 +327,7 @@ def test_run_validate_reports_distribution_trigger_without_raising():
     statuses = {name: status for name, status, _ in run_validate(cfg)}
     assert statuses["stationary-residual"] == "pass"
     assert statuses["completion-conservation"] == "FAIL"
-    assert statuses["ctmc-oracle"] == "FAIL"
+    assert statuses["ctmc-oracle"] == "pass"
 
 
 def test_run_validate_and_analyze_when_absorption_unreachable():
