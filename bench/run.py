@@ -1,0 +1,178 @@
+"""Layer and end-to-end timings of rejuvkit, written as one JSON file.
+
+Usage, from the repository root::
+
+    python3 bench/run.py --out BENCH.json
+    python3 bench/run.py --out BENCH.json --baseline ../parent-checkout
+
+Every time but ``pytest_wall`` (one run of the suite) is the best of
+``REPEAT`` runs (stdlib ``timeit``).  In-process layers run with the
+exact-work memos of ``rejuvkit.numerics`` cleared before each run, as a
+fresh process meets them.  ``import`` and the ``cli_<subcommand>`` runs
+are fresh interpreters; with ``--baseline`` they are timed on that
+checkout's ``src/`` too, alternating run by run.  BLAS is pinned to one
+thread, as in ``perfbench``.
+"""
+
+import os
+
+# one BLAS thread, pinned before numpy loads; child processes inherit it
+os.environ.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+import time  # noqa: E402
+import timeit  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+REPEAT = 5
+SWEEP_CONFIG = "preset_f_hypo"  # the paper's trigger study, as in perfbench
+SIM_REPS = {"availability": 100, "mttf": 1000, "completion": 1000}
+METRICS = ("availability", "mttf", "completion")
+SWEEP_ARGS = ["--var", "trigger_interval", "--from", "0", "--to", "50", "--step", "1",
+              "--metrics", ",".join(METRICS)]
+UNITS = {
+    "import": "s", "parse": "ms", "kernel": "ms", "sojourn": "ms", "stationary": "ms",
+    "visits": "ms", "completion": "ms", "sim_per_1k_reps": "s", "sweep51": "s",
+    "sweep51_refine": "s", "cli_<subcommand>": "s", "pytest_wall": "s", "src_lines": "lines",
+}
+
+
+def best(stmt, setup="pass", number=1):
+    """Best seconds per call of ``stmt`` over REPEAT runs of ``number`` calls."""
+    return min(timeit.Timer(stmt, setup).repeat(repeat=REPEAT, number=number)) / number
+
+
+def per_config(fn, names, setup="pass", number=1):
+    """``fn(name)`` timed per bundled config, in ms."""
+    return {name: round(1e3 * best(lambda: fn(name), setup, number), 4) for name in names}
+
+
+def layers():
+    from rejuvkit import analysis, config, model, numerics, simulator, toolkit
+
+    def cold():
+        for memo in (numerics._term_solution, numerics._track, numerics.phase_window):
+            memo.cache_clear()
+
+    names = config.bundled_config_names()
+    cfgs = {name: config.load_config(name) for name in names}
+    kernels = {name: model.transition_matrix(cfg.params) for name, cfg in cfgs.items()}
+    start = [1.0] + [0.0] * 9
+    out = {
+        "parse": per_config(config.load_config, names, number=10),
+        "kernel": per_config(lambda n: model.transition_matrix(cfgs[n].params), names, cold),
+        "sojourn": per_config(lambda n: model.sojourn_times(cfgs[n].params), names, cold),
+        "stationary": per_config(lambda n: numerics.dtmc_stationary(kernels[n]), names, number=100),
+        "visits": per_config(
+            lambda n: numerics.absorbing_visits(kernels[n][:10, :10], start), names, number=100
+        ),
+    }
+    with_workload = [name for name in names if cfgs[name].workload is not None]
+    out["completion"] = {
+        method: per_config(
+            lambda n: analysis.completion_time(cfgs[n].params, cfgs[n].workload, method),
+            with_workload,
+            cold,
+        )
+        for method in ("analytic", "richardson")
+    }
+    sweep_cfg = cfgs[SWEEP_CONFIG]
+    drivers = {
+        "availability": lambda c: simulator.simulate_availability(sweep_cfg.params, c),
+        "mttf": lambda c: simulator.simulate_mttf(sweep_cfg.params, c),
+        "completion": lambda c: simulator.simulate_completion(
+            sweep_cfg.params, sweep_cfg.workload, c
+        ),
+    }
+    out["sim_per_1k_reps"] = {
+        m: round(1e3 / SIM_REPS[m] * best(lambda: drivers[m](simulator.SimConfig(SIM_REPS[m], 5))), 4)
+        for m in METRICS
+    }
+    for key, refine in (("sweep51", False), ("sweep51_refine", True)):
+        spec = toolkit.SweepSpec("trigger_interval", 0.0, 50.0, 1.0, METRICS, refine=refine)
+        out[key] = round(best(lambda: toolkit.run_sweep(sweep_cfg, spec), cold), 4)
+    return out
+
+
+def fresh(src, args, cwd):
+    """Wall seconds of one run of ``args`` by a fresh interpreter on ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    cmd = [sys.executable, *args]
+    return timeit.Timer(
+        lambda: subprocess.run(cmd, env=env, cwd=cwd, check=True, stdout=subprocess.DEVNULL)
+    ).timeit(number=1)
+
+
+def processes(baseline):
+    """``import`` and ``cli_<subcommand>``, here and on the baseline, run by run."""
+    cli = ["-m", "rejuvkit.cli"]
+    config = ["--config", SWEEP_CONFIG]
+    runs = {
+        "import": ["-c", "import rejuvkit.cli"],
+        "cli_help": [*cli, "--help"],
+        "cli_analyze": [*cli, "analyze", *config],
+        "cli_validate": [*cli, "validate", *config],
+        "cli_sweep": [*cli, "sweep", *config, *SWEEP_ARGS, "--refine", "--out", "sweep.csv"],
+        "cli_simulate": [*cli, "simulate", *config, "--reps", "200", "--seed", "5",
+                         "--out", "simulate.csv"],
+    }
+    sources = {"this": ROOT / "src"}
+    if baseline is not None:
+        sources["baseline"] = Path(baseline).resolve() / "src"
+    out = {}
+    with tempfile.TemporaryDirectory() as cwd:
+        for key, args in runs.items():
+            times = {side: [] for side in sources}
+            for _ in range(REPEAT):
+                for side, src in sources.items():
+                    times[side].append(fresh(src, args, cwd))
+            out[key] = {side: round(min(t), 4) for side, t in times.items()}
+    return out
+
+
+def machine():
+    import numpy
+
+    return {
+        "date": time.strftime("%Y-%m-%d"),
+        "cpus": os.cpu_count(),
+        "affinity_cpus": len(os.sched_getaffinity(0)),
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
+        "repeat": REPEAT,
+        "note": "best of `repeat`; in-process layers with the numerics memos cleared "
+        "before each run; `sojourn` and `kernel` time the same kernel build",
+    }
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, help="JSON file to write")
+    parser.add_argument("--baseline", help="another checkout: import and cli_* timed there too")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(ROOT / "src"))
+
+    report = {"machine": machine(), "units": UNITS}
+    report.update(processes(args.baseline))
+    report.update(layers())
+    start = time.perf_counter()
+    subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+                   cwd=ROOT, check=True, stdout=subprocess.DEVNULL)
+    report["pytest_wall"] = round(time.perf_counter() - start, 2)
+    report["src_lines"] = sum(
+        len(p.read_text().splitlines()) for p in (ROOT / "src" / "rejuvkit").glob("*.py")
+    )
+    Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -56,6 +56,7 @@ __all__ = [
     "WorkloadSpec",
     "MetricsReport",
     "CompletionDivergenceError",
+    "CompletionNotApplicable",
     "availability",
     "mttf",
     "completion_cases",
@@ -73,6 +74,10 @@ _CONSERVATION_TOL = 32 * np.finfo(float).eps
 
 class CompletionDivergenceError(ArithmeticError):
     """The restart loop does not terminate: B(s) >= 1."""
+
+
+class CompletionNotApplicable(ValueError):
+    """The model has no completion analysis: the trigger delay a1 is a law."""
 
 
 @dataclass(frozen=True)
@@ -212,7 +217,7 @@ def completion_cases(p: ModelParams, w: WorkloadSpec) -> tuple[_Case, _Case]:
         t1 = w.t1
     a1 = p.a1
     if isinstance(a1, Distribution):
-        raise ValueError("completion analysis needs a plain trigger delay a1")
+        raise CompletionNotApplicable("completion analysis needs a plain trigger delay a1")
     if a1 > w.x:
         raise ValueError(f"trigger work a1={a1} exceeds the work requirement x={w.x}")
     if t1 > w.x - x1:

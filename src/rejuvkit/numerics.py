@@ -21,7 +21,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.linalg import expm
 
 __all__ = [
     "ReducibleChainError",
@@ -35,6 +34,8 @@ __all__ = [
 ]
 
 _TINY = np.finfo(float).tiny
+# 1/k! for k = 0..24, row j holding the coefficients of M^(5j), ..., M^(5j + 4)
+_TAYLOR = np.array([1.0 / math.factorial(k) for k in range(25)]).reshape(5, 5)
 _STOCHASTIC_TOL = 1e-9  # largest row-sum gap dtmc_stationary accepts
 
 
@@ -90,23 +91,46 @@ def _contract(rows, x):
     return x.reshape(-1)
 
 
+def _taylor_step(M):
+    """e^M for a 1-norm of at most 2: the Taylor polynomial of degree 24.
+
+    Paterson-Stockmeyer: one product of the coefficient table with
+    I, M, ..., M^4 gives the five block polynomials, and four Horner
+    steps in M^5 join them, so eight n x n products in all.  The
+    truncation term is 2^25/25! < 3e-18 at norm 2, and nothing is
+    squared.
+    """
+    n = M.shape[0]
+    powers = np.empty((5, n, n))
+    powers[0] = np.eye(n)
+    powers[1] = M
+    for k in range(2, 5):
+        np.matmul(powers[k - 1], M, out=powers[k])
+    M5 = powers[4] @ M
+    blocks = (_TAYLOR @ powers.reshape(5, n * n)).reshape(5, n, n)
+    E = blocks[4]
+    for j in (3, 2, 1, 0):
+        E = M5 @ E
+        E += blocks[j]
+    return E
+
+
 def _expm_triangular(M):
     """e^M of an upper-triangular M, exact to rounding at nearly equal diagonals.
 
-    scipy's expm squares triangular input itself and resets its
-    superdiagonal with the plain quotient (e^y - e^x)/(y - x), which
-    cancels when x and y nearly agree.  Here expm only takes the Pade
-    step, on M/2^s with 1-norm at most 2: there it squares nothing and
-    is exact to rounding (from norm 4 on, its error, squared up, passed
-    1e-15 at nearly equal rates).  The squaring is done here, and after
-    each one the diagonal is reset to e^x and the superdiagonal to
-    m e^{max(x, y)} (1 - e^{-|y - x|})/|y - x|, which has no cancellation
-    (Al-Mohy & Higham 2009, SIAM J. Matrix Anal. Appl. 31:970, Code
-    Fragment 2.1).
+    The Taylor step is taken on M/2^s, with 1-norm at most 2, and the
+    result is squared s times.  Squaring a triangular exponential lets
+    the rounding of its diagonal and superdiagonal grow with every
+    product; at nearly equal rates the superdiagonal, m times the
+    divided difference of e^x, would come from entries that cancel.
+    So after each squaring the diagonal is reset to e^x and the
+    superdiagonal to m e^{max(x, y)} (1 - e^{-|y - x|})/|y - x|, which
+    has no cancellation (Al-Mohy & Higham 2009, SIAM J. Matrix Anal.
+    Appl. 31:970, Code Fragment 2.1).
     """
     norm = np.abs(M).sum(axis=0).max()
-    if norm <= 2.0:  # the Pade step alone: nothing to square
-        return expm(M)
+    if norm <= 2.0:  # the Taylor step alone: nothing to square
+        return _taylor_step(M)
     squarings = math.ceil(math.log2(norm / 2.0))
     scale = 0.5 ** np.arange(squarings, -1, -1.0)[:, None]
     x = scale * M.diagonal()
@@ -115,7 +139,7 @@ def _expm_triangular(M):
     gap = np.maximum(np.abs(hi - lo), _TINY)
     upper = scale * M.diagonal(1) * np.exp(np.maximum(lo, hi)) * (-np.expm1(-gap) / gap)
     diagonal = np.exp(x)
-    E = expm(M * scale[0, 0])
+    E = _taylor_step(M * scale[0, 0])
     n = M.shape[0]
     for k in range(squarings + 1):
         if k:

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .analysis import WorkloadSpec, completion_cases
 from .model import ModelParams, state_events
@@ -35,6 +34,8 @@ _TAG_AVAILABILITY = 1
 _TAG_MTTF = 2
 _TAG_COMPLETION = 3
 _TAG_OCCUPANCY = 4
+# ln Gamma(x) - (x - 1/2) ln x + x - ln(2 pi)/2 = sum of c_k / x^(2k + 1)
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
 
 
 @dataclass(frozen=True)
@@ -69,12 +70,98 @@ def _rng(seed: int, tag: int, rep: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
+def _stirling_tail(x: float) -> float:
+    """ln Gamma(x) less its Stirling form; for x >= 10 the omitted terms are below 3e-17."""
+    return math.fsum(c / x ** (2 * k + 1) for k, c in enumerate(_STIRLING))
+
+
+def _gamma_ratio(b: float) -> float:
+    """Gamma(b + 1/2) / (Gamma(b) sqrt(b)) for b > 0, to a few ulp."""
+    scale = 1.0
+    while b < 10.0:  # Gamma(b + 1) = b Gamma(b) steps b up into Stirling's range
+        scale *= math.sqrt(b * (b + 1.0)) / (b + 0.5)
+        b += 1.0
+    return scale * math.exp(
+        b * math.log1p(0.5 / b) - 0.5 + _stirling_tail(b + 0.5) - _stirling_tail(b)
+    )
+
+
+def _beta_series(a: float, b: float, x: float) -> float:
+    """I_x(a, b) a B(a, b) / (x^a (1 - x)^b), the series 2F1(a + b, 1; a + 1; x).
+
+    Every term is positive, so the sum carries no cancellation; past
+    its peak the terms fall by about x each, and x <= 1/2 here.
+    """
+    term = total = 1.0
+    n = 0
+    while term > 1e-17 * total:
+        term *= (a + b + n) / (a + 1.0 + n) * x
+        total += term
+        n += 1
+    return total
+
+
+def _hill(n: int) -> float:
+    """Hill's approximation to t_0.975 at n df (1970, CACM 13:617, Algorithm 396)."""
+    if n == 1:
+        return math.tan(0.475 * math.pi)
+    if n == 2:
+        return math.sqrt(2.0 / (0.05 * 1.95) - 2.0)
+    a = 1.0 / (n - 0.5)
+    b = 48.0 / (a * a)
+    c = ((20700.0 * a / b - 98.0) * a / b - 16.0) * a / b + 96.36
+    d = ((94.5 / (b + c) - 3.0) / b + 1.0) * math.sqrt(a * math.pi / 2.0) * n
+    y = (0.05 * d) ** (2.0 / n)
+    if y > 0.05 + a:
+        x = 1.959963984540054  # the normal 0.975-quantile
+        y = x * x
+        if n < 5:
+            c += 0.3 * (n - 4.5) * (x + 0.6)
+        c = (((0.05 * d * x - 5.0) * x - 7.0) * x - 2.0) * x + b + c
+        y = (((((0.4 * y + 6.3) * y + 36.0) * y + 94.5) / c - y - 3.0) / b + 1.0) * x
+        return math.sqrt(n * math.expm1(a * y * y))
+    y = (
+        (1.0 / (((n + 6.0) / (n * y) - 0.089 * d - 0.822) * (n + 2.0) * 3.0) + 0.5 / (n + 4.0)) * y
+        - 1.0
+    ) * (n + 1.0) / (n + 2.0) + 1.0 / y
+    return math.sqrt(n * y)
+
+
+def _t975(df: int) -> float:
+    """The 0.975-quantile of Student's t with ``df`` >= 1 degrees of freedom.
+
+    Newton steps from Hill's approximation on the upper tail
+    P(T > t) = I_y(df/2, 1/2)/2, y = df/(df + t^2).  That tail is
+    t f(t) S_B / df with f the density and S_B the series of
+    I_y(df/2, 1/2); once t^2 < df, y passes 1/2 and the tail is taken
+    as 1/2 - t f(t) S_A instead, S_A the series of I_{1-y}(1/2, df/2).
+    Hill's start is within 2e-4 relative, and Newton converges
+    quadratically: a step below 1e-9 relative leaves no error above
+    rounding.
+    """
+    t = _hill(df)
+    b = 0.5 * df
+    scale = _gamma_ratio(b) / math.sqrt(2.0 * math.pi)  # f(t) = scale (1 + t^2/df)^-(b + 1/2)
+    for _ in range(8):
+        q = t * t / df
+        f = scale * math.exp(-(b + 0.5) * math.log1p(q))
+        if q < 1.0:
+            tail = 0.5 - t * f * _beta_series(0.5, b, q / (1.0 + q))
+        else:
+            tail = t * f * _beta_series(b, 0.5, 1.0 / (1.0 + q)) / df
+        step = (tail - 0.025) / f
+        t += step
+        if abs(step) <= 1e-9 * t:
+            break
+    return t
+
+
 def _estimate(metric, values, truncated=0) -> Estimate:
     values = np.asarray(values, dtype=float)
     n = values.size
     mean = float(values.mean())
     spread = float(values.std(ddof=1))
-    half = float(stdtrit(n - 1, 0.975)) * spread / math.sqrt(n) if spread > 0.0 else 0.0
+    half = _t975(n - 1) * spread / math.sqrt(n) if spread > 0.0 else 0.0
     return Estimate(metric, mean, mean - half, mean + half, n, truncated)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ctmc
-from .analysis import completion_lsts, completion_time, metrics_report
+from .analysis import CompletionNotApplicable, completion_lsts, completion_time, metrics_report
 from .config import ConfigError, RunConfig
 from .distributions import Distribution, Exponential, to_json
 from .model import TRIGGER_SIDES, TRIGGERS
@@ -266,6 +266,8 @@ def run_validate(cfg: RunConfig):
         try:
             phi1, phi2 = completion_lsts(cfg.params, cfg.workload, 0.0)
             record("completion-conservation", True, f"phi(0) = {phi1!r}, {phi2!r}")
+        except CompletionNotApplicable as exc:
+            results.append(("completion-conservation", "skip", str(exc)))
         except Exception as exc:  # noqa: BLE001
             record("completion-conservation", False, f"{type(exc).__name__}: {exc}")
     else:

@@ -6,6 +6,7 @@ import pytest
 from rejuvkit import (
     CompletionDivergenceError,
     Deterministic,
+    Erlang,
     Exponential,
     WorkloadSpec,
     availability,
@@ -282,6 +283,19 @@ def test_conservation_holds_when_restarts_dominate(x):
     assert math.isfinite(mean) and mean >= x
     restart = 1.0 / lam + p.fixing_primary.mean() + p.aging_primary.mean()
     assert mean == pytest.approx(-math.expm1(-lam * x) * restart / math.exp(-lam * x), rel=1e-12)
+
+
+def test_large_erlang_failure_completes():
+    # with trigger 0 each attempt fails with the law's F(x) and the mean is
+    # x + (E[X; X < x] + F(x)(E[overhead] + E[aging])) / S(x), where
+    # E[X; X < x] is the mean times the Erlang(rate, shape + 1) cdf
+    d = Erlang(0.2, 200)
+    p = make_params(trigger=0.0, failure=d)
+    x = 1000.0
+    mean = completion_time(p, WorkloadSpec(x=x))
+    restart = p.fixing_primary.mean() + p.aging_primary.mean()
+    failed = d.mean() * Erlang(0.2, 201).cdf(x) + d.cdf(x) * restart
+    assert mean == pytest.approx(x + failed / d.survival(x), rel=1e-12)
 
 
 def test_workload_validation():

@@ -192,12 +192,36 @@ def test_entry_point_subprocess():
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    code = "import sys, rejuvkit.cli; print('scipy.stats' in sys.modules)"
+    code = "import sys, rejuvkit.cli; print(any(m.startswith('scipy') for m in sys.modules))"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_runs_without_scipy(tmp_path):
+    # a None entry in sys.modules makes any import of scipy raise ImportError
+    code = f"""
+import sys
+sys.modules["scipy"] = None
+from rejuvkit.cli import main
+out = {str(tmp_path)!r}
+runs = [
+    ["analyze", "--config", "preset_f_hypo"],
+    ["validate", "--config", "preset_f_hypo"],
+    ["sweep", "--config", "preset_f_hypo", "--var", "trigger_interval",
+     "--from", "20", "--to", "30", "--step", "5", "--out", out + "/sweep.csv"],
+    ["simulate", "--config", "preset_f_hypo", "--reps", "50", "--seed", "3",
+     "--out", out + "/sim.csv"],
+]
+print([main(argv) for argv in runs])
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0]"
 
 
 def test_every_exported_name_resolves():

@@ -82,7 +82,8 @@ def test_engine_agrees_with_quadrature_property(
 @pytest.mark.parametrize("gap", [1e-9, 1e-12, 1e-15])
 def test_nearly_equal_failure_rates_build(gap):
     # a long trigger makes the segment exponentials square many times;
-    # scipy's squaring lost the hypoexponential's off-diagonal entry there
-    # and the kernel rows missed 1 by up to 1e-4
+    # squaring without the superdiagonal reset (as scipy's expm once did
+    # here) lost the hypoexponential's off-diagonal entry, and the kernel
+    # rows missed 1 by up to 1e-4
     p = make_params(trigger=1e4, failure=Hypoexponential(0.0013674, 0.0013674 * (1.0 + gap)))
     assert np.abs(transition_matrix(p) - quadrature.transition_matrix(p)).max() <= KERNEL_ABS

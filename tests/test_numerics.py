@@ -9,6 +9,7 @@ from rejuvkit import Deterministic, Erlang, Exponential, Hypoexponential
 from rejuvkit.numerics import (
     ReducibleChainError,
     _segment,
+    _taylor_step,
     _track,
     absorbing_visits,
     dtmc_stationary,
@@ -336,8 +337,9 @@ def _window_reference(d, s, h):
 @pytest.mark.parametrize("d", NEAR_EQUAL + [Erlang(0.004, 5), Erlang(0.004, 20)])
 @pytest.mark.parametrize("length", [1e-3, 30.0, 1000.0, 9996.9])
 def test_segment_exact_at_nearly_equal_rates(d, length):
-    # scipy's expm squares triangular input with a superdiagonal quotient
-    # that cancels as the rates meet: 8e-6 off at a relative gap of 1e-12
+    # squaring with the superdiagonal quotient (e^y - e^x)/(y - x), as
+    # scipy's expm did when the package used it, cancels as the rates
+    # meet: it was 8e-6 off at a relative gap of 1e-12
     with decimal.localcontext() as ctx:
         ctx.prec = 60
         ref = np.array([[float(v) for v in row] for row in _segment_reference(d, length)])
@@ -355,3 +357,28 @@ def test_phase_window_exact_at_nearly_equal_rates(d, s, h):
     lst, moment = phase_window(d, s, h)
     assert abs(lst - lst_ref) <= 1e-15
     assert abs(moment - moment_ref) <= 1e-15 * max(1.0, abs(moment_ref))
+
+
+def test_large_erlang_window_meets_the_conservation_guard():
+    # the completion guard lets A(0) + B(0) miss 1 by 32 eps, so the
+    # 401 x 401 window exponential must give F(h) at least as closely
+    d = Erlang(0.2, 200)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        ref = float(_window_reference(d, 0.0, 1000.0)[0])
+    assert abs(phase_window(d, 0.0, 1000.0)[0] - ref) <= 32 * np.finfo(float).eps
+
+
+def test_taylor_step_matches_scipy_expm(rng):
+    from scipy.linalg import expm
+
+    for trial in range(400):
+        n = trial % 4 + 2
+        rates = rng.uniform(0.01, 1.0, n)
+        if trial % 3 == 0:  # nearly equal diagonals
+            rates = rates[0] * (1.0 + rng.uniform(-1e-9, 1e-9, n))
+        T = np.diag(-rates) + np.diag(rates[:-1], 1)
+        segment = np.block([[T, np.eye(n)], [np.zeros((n, 2 * n))]])  # as in _segment
+        for M in (T, segment):
+            M = M * (rng.uniform(0.01, 2.0) / np.abs(M).sum(axis=0).max())
+            assert np.abs(_taylor_step(M) - expm(M)).max() <= 4e-15

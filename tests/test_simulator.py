@@ -65,6 +65,15 @@ def test_no_failure_completion_is_structural():
     assert est.ci_high - est.ci_low == pytest.approx(0.0, abs=1e-9)
 
 
+def test_t_quantile_matches_scipy():
+    import numpy as np
+    from scipy.special import stdtrit
+
+    grid = np.unique(np.geomspace(300, 200_000, 120).round().astype(int))
+    for df in [*range(1, 301), *grid.tolist()]:
+        assert sim._t975(df) == pytest.approx(stdtrit(df, 0.975), rel=1e-14, abs=0.0)
+
+
 def test_ci_width_shrinks_like_root_n():
     p = make_params()
     w = WorkloadSpec(x=590.6201, r1=0.566316)

@@ -317,17 +317,27 @@ def test_run_validate_ctmc_check_runs_only_for_exponential():
     assert results["ctmc-oracle"] == "pass"
 
 
-def test_run_validate_reports_distribution_trigger_without_raising():
+def test_run_validate_reports_distribution_trigger_without_raising(monkeypatch):
     from dataclasses import replace
 
+    import rejuvkit.toolkit as toolkit
     from rejuvkit.distributions import Exponential
 
     cfg = load_config("table7_defaults")
     cfg = replace(cfg, params=replace(cfg.params, a1=Exponential(1.0 / 30.0)))
-    statuses = {name: status for name, status, _ in run_validate(cfg)}
+    results = run_validate(cfg)
+    statuses = {name: status for name, status, _ in results}
     assert statuses["stationary-residual"] == "pass"
-    assert statuses["completion-conservation"] == "FAIL"
+    # the completion analysis does not apply to a law-valued a1: skipped, not failed
+    assert ("completion-conservation", "skip", "completion analysis needs a plain trigger delay a1") in results
     assert statuses["ctmc-oracle"] == "pass"
+
+    def broken(*args):
+        raise ValueError("broken")
+
+    monkeypatch.setattr(toolkit, "completion_lsts", broken)
+    statuses = {name: status for name, status, _ in run_validate(load_config("table7_defaults"))}
+    assert statuses["completion-conservation"] == "FAIL"
 
 
 def test_run_validate_and_analyze_when_absorption_unreachable():
