@@ -117,9 +117,9 @@ class WorkloadSpec:
             problems.append(f"r1 must lie in (0, 1], got {self.r1}")
         if self.r2 != 1.0:
             problems.append(f"r2 is fixed at 1, got {self.r2}")
-        if self.b1 < 0.0 or self.b2 < 0.0 or abs(self.b1 + self.b2 - 1.0) > 1e-12:
+        if not (self.b1 >= 0.0 and self.b2 >= 0.0 and abs(self.b1 + self.b2 - 1.0) <= 1e-12):
             problems.append(f"b1 + b2 must equal 1, got {self.b1} + {self.b2}")
-        if self.t1 is not None and self.t1 < 0.0:
+        if self.t1 is not None and not self.t1 >= 0.0:
             problems.append(f"t1 must be >= 0, got {self.t1}")
         return problems
 

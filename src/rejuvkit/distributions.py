@@ -45,10 +45,11 @@ class Distribution:
     family declares only its ``phases``, the rates of the exponential
     phases it runs through in series, and every float field is one of
     those rates; construction checks that each is positive and finite,
-    and the mean, the transform, its pole, the time scaling and the
-    (alpha, T) representation follow from them here.  Each family keeps
-    its own closed-form ``survival``, ``density`` and ``sample``; the
-    ``cdf`` is one minus the survival.
+    and the mean, the transform, its pole, the time scaling, the
+    (alpha, T) representation and the sampler (one draw per phase,
+    summed) follow from them here.  Each family keeps its own
+    closed-form ``survival`` and ``density``; the ``cdf`` is one minus
+    the survival.
     """
 
     kind: str
@@ -59,6 +60,8 @@ class Distribution:
             if not (rate > 0.0 and math.isfinite(rate)):
                 family = type(self).__name__.lower()
                 raise ValueError(f"{family} {name} must be positive and finite, got {rate}")
+        # the mean of each phase, which sample() reads on every draw
+        object.__setattr__(self, "_scales", tuple(1.0 / r for r in self.phases))
 
     @property
     def phases(self) -> tuple:
@@ -101,7 +104,11 @@ class Distribution:
         return self.scaled(self.mean() / mean)
 
     def sample(self, rng, size=None):
-        raise NotImplementedError
+        """One exponential draw per phase, in phase order, summed."""
+        total = 0.0
+        for scale in self._scales:
+            total += rng.exponential(scale, size)
+        return total
 
     @property
     def phase_type(self):
@@ -117,7 +124,7 @@ class Distribution:
             T.setflags(write=False)
             # set as an attribute, not in __dict__ as cached_property does:
             # a materialised instance dict makes every later attribute load
-            # about 3x slower, and sample() reads the rates on each draw
+            # about 3x slower, and sample() reads the scales on each draw
             object.__setattr__(self, "_phase_type", (alpha, T))
         return self._phase_type
 
@@ -145,9 +152,6 @@ class Exponential(Distribution):
         if t < 0.0:
             return 0.0
         return self.rate * math.exp(-self.rate * t)
-
-    def sample(self, rng, size=None):
-        return rng.exponential(1.0 / self.rate, size=size)
 
 
 @dataclass(frozen=True)
@@ -197,13 +201,6 @@ class Erlang(Distribution):
         # in log space: x**(k-1) and (k-1)! overflow for large shapes
         return self.rate * math.exp((k - 1) * math.log(x) - x - math.lgamma(k))
 
-    def sample(self, rng, size=None):
-        # sum of `shape` exponential phases
-        if size is None:
-            return rng.exponential(1.0 / self.rate, size=self.shape).sum()
-        draws = rng.exponential(1.0 / self.rate, size=(size, self.shape))
-        return draws.sum(axis=1)
-
 
 @dataclass(frozen=True)
 class Hypoexponential(Distribution):
@@ -241,9 +238,6 @@ class Hypoexponential(Distribution):
             return 0.0
         a, b, ea, g = self._decay(t)
         return -a * b * ea * g
-
-    def sample(self, rng, size=None):
-        return rng.exponential(1.0 / self.rate1, size) + rng.exponential(1.0 / self.rate2, size)
 
 
 @dataclass(frozen=True)

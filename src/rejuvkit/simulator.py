@@ -3,11 +3,13 @@
 Independent cross-validation of the analytic metrics: each state is
 simulated as a race of competing events (one duration sampled per armed
 event, minimum wins, resampled on every entry - the Markov-renewal
-property at transition epochs).  Replications use substreams derived
-from (seed, metric, replication index), so results are reproducible and
-independent of execution order.  Parameter sets, workloads and
-:class:`SimConfig` check themselves when they are built, so the
-simulators take them as given.
+property at transition epochs).  A phase-type duration is the sum of one
+exponential draw per phase, in phase order (``Distribution.sample``).
+Availability accumulates only the time spent in the failed states.
+Replications use substreams derived from (seed, metric, replication
+index), so results are reproducible and independent of execution order.
+Parameter sets, workloads and :class:`SimConfig` check themselves when
+they are built, so the simulators take them as given.
 """
 
 from __future__ import annotations
@@ -26,14 +28,12 @@ __all__ = [
     "simulate_availability",
     "simulate_mttf",
     "simulate_completion",
-    "simulate_occupancy",
 ]
 
 GUARD_HORIZON = 1e9  # hours; a replication running past this is censored
 _TAG_AVAILABILITY = 1
 _TAG_MTTF = 2
 _TAG_COMPLETION = 3
-_TAG_OCCUPANCY = 4
 # ln Gamma(x) - (x - 1/2) ln x + x - ln(2 pi)/2 = sum of c_k / x^(2k + 1)
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
 
@@ -48,8 +48,10 @@ class SimConfig:
     def __post_init__(self):
         if self.replications < 2:
             raise ValueError("CI requires >= 2 replications")
-        if not 0.0 <= self.warmup < self.horizon:
-            raise ValueError(f"need horizon > warmup >= 0, got {self.horizon}, {self.warmup}")
+        if not 0.0 <= self.warmup < self.horizon < math.inf:
+            raise ValueError(
+                f"need a finite horizon > warmup >= 0, got {self.horizon}, {self.warmup}"
+            )
 
 
 @dataclass(frozen=True)
@@ -165,47 +167,34 @@ def _estimate(metric, values, truncated=0) -> Estimate:
     return Estimate(metric, mean, mean - half, mean + half, n, truncated)
 
 
-def _draw(ev, rng) -> float:
-    if ev.thin < 1.0 and rng.random() >= ev.thin:
-        return math.inf
-    return float(ev.dist.sample(rng))
-
-
 def _step(events, rng):
     """(sojourn, next state); simultaneous firings go to the earlier event."""
     best = math.inf
     target = -1
     for ev in events:
-        d = _draw(ev, rng)
+        if ev.thin < 1.0 and rng.random() >= ev.thin:
+            continue
+        d = ev.dist.sample(rng)
         if d < best:
             best = d
             target = ev.target
     return best, target
 
 
-def _occupancy_rep(events, rng, horizon, warmup):
-    occupancy = np.zeros(len(events))
+def _downtime(events, rng, horizon, warmup) -> float:
+    """Hours spent in the failed states 10 and 11 between warmup and horizon."""
+    down = 0.0
     t = 0.0
     state = 0
     while t < horizon:
         dt, nxt = _step(events[state], rng)
-        end = min(t + dt, horizon)
-        overlap = end - max(t, warmup)
-        if overlap > 0.0:
-            occupancy[state] += overlap
+        if state >= 10:
+            overlap = min(t + dt, horizon) - max(t, warmup)
+            if overlap > 0.0:
+                down += overlap
         t += dt  # inf, when every armed event declines, ends the run
         state = nxt
-    return occupancy / (horizon - warmup)
-
-
-def _occupancy_rows(p: ModelParams, c: SimConfig, tag: int) -> np.ndarray:
-    """Per-replication occupancy fractions, one row of 12 per replication."""
-    events = state_events(p)
-    rows = np.empty((c.replications, len(events)))
-    for rep in range(c.replications):
-        rng = _rng(c.seed, tag, rep)
-        rows[rep] = _occupancy_rep(events, rng, c.horizon, c.warmup)
-    return rows
+    return down
 
 
 def simulate_availability(p: ModelParams, c: SimConfig) -> Estimate:
@@ -214,16 +203,13 @@ def simulate_availability(p: ModelParams, c: SimConfig) -> Estimate:
     Accumulates the (rare) downtime and returns its complement: exact
     when no failure ever fires, and better conditioned in general.
     """
-    rows = _occupancy_rows(p, c, _TAG_AVAILABILITY)
-    return _estimate("availability", 1.0 - rows[:, 10] - rows[:, 11])
-
-
-def simulate_occupancy(p: ModelParams, c: SimConfig):
-    """Per-state occupancy fractions: (means, standard errors), length 12."""
-    rows = _occupancy_rows(p, c, _TAG_OCCUPANCY)
-    means = rows.mean(axis=0)
-    stderr = rows.std(axis=0, ddof=1) / math.sqrt(c.replications)
-    return means, stderr
+    events = state_events(p)
+    span = c.horizon - c.warmup
+    values = [
+        1.0 - _downtime(events, _rng(c.seed, _TAG_AVAILABILITY, rep), c.horizon, c.warmup) / span
+        for rep in range(c.replications)
+    ]
+    return _estimate("availability", values)
 
 
 def simulate_mttf(p: ModelParams, c: SimConfig) -> Estimate:
@@ -249,13 +235,13 @@ def simulate_mttf(p: ModelParams, c: SimConfig) -> Estimate:
 
 def _attempt(case, rng):
     """One execution attempt of a completion case: (completed?, elapsed wall clock)."""
-    h_pre = float(case.pre_fail.sample(rng))
+    h_pre = case.pre_fail.sample(rng)
     if h_pre <= case.tau:
         return False, h_pre
     (m_reboot, reboot), (m_fix, fix), (m_rest, rest) = case.post
     pick = rng.random() * (m_reboot + m_fix + m_rest)
     law = reboot if pick < m_reboot else fix if pick < m_reboot + m_fix else rest
-    h_post = float(law.sample(rng))
+    h_post = law.sample(rng)
     if h_post <= case.delta:
         return False, case.tau + h_post
     return True, case.t0
@@ -275,7 +261,7 @@ def simulate_completion(p: ModelParams, w: WorkloadSpec, c: SimConfig) -> Estima
             clock += elapsed
             if done:
                 break
-            clock += float(case.overhead.sample(rng)) + float(case.aging.sample(rng))
+            clock += case.overhead.sample(rng) + case.aging.sample(rng)
             if w.backup_restart_via_primary:
                 case = primary
             if clock > GUARD_HORIZON:

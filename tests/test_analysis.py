@@ -314,6 +314,17 @@ def test_workload_validation():
         completion_time(make_params(trigger=200.0), WorkloadSpec(x=100.0))
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [({"b1": math.nan, "b2": math.nan}, "b1 \\+ b2 must"), ({"b1": math.nan}, "b1 \\+ b2 must"),
+     ({"b2": math.nan}, "b1 \\+ b2 must"), ({"t1": math.nan}, "t1 must")],
+    ids=["b1-b2", "b1", "b2", "t1"],
+)
+def test_workload_rejects_nan(fields, message):
+    with pytest.raises(ValueError, match=message):
+        WorkloadSpec(x=100.0, **fields)
+
+
 def test_completion_floor_guard():
     p = make_params()
     w = WorkloadSpec(x=590.0, r1=0.6)

@@ -1,5 +1,6 @@
 import importlib
 import json
+import math
 import os
 import pkgutil
 import subprocess
@@ -81,6 +82,17 @@ def test_malformed_scalar_exits_2(config_file, capsys, mutate, field):
     assert err.startswith("config error:") and field in err
 
 
+@pytest.mark.parametrize(
+    "fields, name",
+    [({"b1": math.nan, "b2": math.nan}, "b1 + b2"), ({"t1": math.nan}, "t1")],
+    ids=["b1-b2", "t1"],
+)
+def test_nan_workload_exits_2(config_file, capsys, fields, name):
+    assert main(["analyze", "--config", config_file(_workload(**fields))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and name in err
+
+
 def test_missing_file_exits_2(capsys):
     assert main(["analyze", "--config", "/nonexistent/path.json"]) == 2
 
@@ -89,6 +101,13 @@ def test_single_replication_exits_2(config_file, capsys):
     code = main(["simulate", "--config", config_file(), "--reps", "1", "--seed", "7"])
     assert code == 2
     assert "2 replications" in capsys.readouterr().err
+
+
+def test_infinite_horizon_exits_2(capsys):
+    args = ["--config", "preset_f_hypo", "--reps", "2", "--seed", "1", "--horizon", "inf"]
+    assert main(["simulate", *args, "--metrics", "availability"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "horizon" in err
 
 
 def test_simulate_deterministic_csv(config_file, tmp_path):

@@ -208,6 +208,27 @@ def test_deterministic_sampling(rng):
     assert np.all(d.sample(rng, size=100) == 5.0)
 
 
+@pytest.mark.parametrize(
+    "d, rates",
+    [
+        (Exponential(0.0010432), [0.0010432]),
+        (Hypoexponential(0.0013674, 0.0043860), [0.0013674, 0.0043860]),
+        (Erlang(24.0, 2), [24.0] * 2),
+        (Erlang(720.0, 6), [720.0] * 6),
+    ],
+    ids=["exp", "hypoexp", "erlang2", "erlang6"],
+)
+def test_scalar_draw_is_the_in_order_sum_of_phase_draws(d, rates):
+    # the simulator's streams rest on this: one scalar exponential draw
+    # per phase, rate1 before rate2, summed left to right
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        expected = 0.0
+        for r in rates:
+            expected += rng.exponential(1.0 / r)
+        assert d.sample(np.random.default_rng(seed)) == expected
+
+
 def test_exponential_sample_mean(rng):
     d = Exponential(0.0006857)
     draws = d.sample(rng, size=1_000_000)

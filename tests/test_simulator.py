@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 import rejuvkit.simulator as sim
@@ -12,8 +15,8 @@ from rejuvkit import (
     simulate_availability,
     simulate_completion,
     simulate_mttf,
+    state_events,
 )
-from rejuvkit.simulator import simulate_occupancy
 from rejuvkit.analysis import metrics_report
 from tests.conftest import make_params
 
@@ -25,6 +28,8 @@ def test_simconfig_validation():
         SimConfig(replications=1, seed=1)
     with pytest.raises(ValueError, match="warmup"):
         SimConfig(replications=10, seed=1, horizon=10.0, warmup=10.0)
+    with pytest.raises(ValueError, match="finite horizon"):
+        SimConfig(replications=10, seed=1, horizon=math.inf)
 
 
 def test_determinism_bit_identical():
@@ -120,6 +125,28 @@ def test_availability_ci_coverage(rng):
         )
         hits += est.ci_low <= truth <= est.ci_high
     assert hits >= 93
+
+
+def simulate_occupancy(p, c, tag=4):
+    """Per-state occupancy fractions: (means, standard errors), length 12.
+
+    Walks the same races as the availability simulator, on its own
+    substreams, but keeps the time spent in every state."""
+    events = state_events(p)
+    rows = np.zeros((c.replications, len(events)))
+    for rep, row in enumerate(rows):
+        rng = sim._rng(c.seed, tag, rep)
+        t = 0.0
+        state = 0
+        while t < c.horizon:
+            dt, nxt = sim._step(events[state], rng)
+            overlap = min(t + dt, c.horizon) - max(t, c.warmup)
+            if overlap > 0.0:
+                row[state] += overlap
+            t += dt
+            state = nxt
+    rows /= c.horizon - c.warmup
+    return rows.mean(axis=0), rows.std(axis=0, ddof=1) / math.sqrt(c.replications)
 
 
 def test_occupancy_matches_pi_within_three_stderr():
