@@ -21,7 +21,7 @@ for (t, a), (_, m) in zip(series["availability"][::5], series["mttf"][::5]):
 for metric, record in optima.items():
     print(
         f"\n{metric}: optimum {record['optimum']:.10g} at trigger "
-        f"{record['value']:.4g} h (golden-section refined: {record['refined']})"
+        f"{record['value']:.4g} h (refined between grid points: {record['refined']})"
     )
 
 with open("trigger_sweep.csv", "w") as fh:

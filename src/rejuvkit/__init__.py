@@ -35,7 +35,6 @@ from .model import (
     sojourn_times,
     state_events,
     transition_matrix,
-    validate,
 )
 from .numerics import ReducibleChainError, absorbing_visits, dtmc_stationary
 from .simulator import (
@@ -67,7 +66,6 @@ __all__ = [
     "sojourn_times",
     "state_events",
     "scale_time",
-    "validate",
     "Distribution",
     "Exponential",
     "Erlang",

@@ -93,7 +93,7 @@ class WorkloadSpec:
     routing of the backup case's restart terms through the primary-case
     transform; set it False to make the backup case restart into itself.
     A spec is checked once, when it is built: construction raises
-    ``ValueError`` naming every violation that :meth:`validate` lists.
+    ``ValueError`` naming every violation.
     """
 
     x: float
@@ -107,7 +107,7 @@ class WorkloadSpec:
     restart_overhead_backup: Distribution | None = None
     backup_restart_via_primary: bool = True
 
-    def validate(self) -> list[str]:
+    def __post_init__(self):
         problems = []
         if not (self.x > 0.0 and math.isfinite(self.x)):
             problems.append(f"x must be positive, got {self.x}")
@@ -121,10 +121,6 @@ class WorkloadSpec:
             problems.append(f"b1 + b2 must equal 1, got {self.b1} + {self.b2}")
         if self.t1 is not None and not self.t1 >= 0.0:
             problems.append(f"t1 must be >= 0, got {self.t1}")
-        return problems
-
-    def __post_init__(self):
-        problems = self.validate()
         if problems:
             raise ValueError("invalid workload: " + "; ".join(problems))
 
@@ -227,7 +223,7 @@ def completion_cases(p: ModelParams, w: WorkloadSpec) -> tuple[_Case, _Case]:
 
     def build(trig_work, rem_work, aging, pre_fail, gate_reboot, gate_fix, laws, overhead):
         tau = trig_work / w.r1
-        # c1 + c2 + c3 may miss 1 by validate's slack: the shares divide by it
+        # c1 + c2 + c3 may miss 1 by ModelParams' 1e-12 slack: the shares divide by it
         scale = pre_fail.survival(tau) / (p.c1 + p.c2 + p.c3)
         rest = p.c1 + p.c2 * gate_reboot.survival(tau) + p.c3 * gate_fix.survival(tau)
         shares = (p.c2 * gate_reboot.cdf(tau), p.c3 * gate_fix.cdf(tau), rest)

@@ -43,7 +43,7 @@ def _build_parser():
     sweep.add_argument("--to", dest="stop", type=float, required=True)
     sweep.add_argument("--step", type=float, required=True)
     sweep.add_argument("--metrics", default="availability,mttf", help="comma list: availability,mttf,completion")
-    sweep.add_argument("--refine", action="store_true", help="golden-section refinement of the optimum")
+    sweep.add_argument("--refine", action="store_true", help="place an interior optimum between grid points")
     sweep.add_argument("--tie", default="all", choices=("all", *TRIGGER_SIDES))
     sweep.add_argument("--out", help="CSV output path")
 

@@ -50,7 +50,6 @@ __all__ = [
     "transition_matrix",
     "sojourn_times",
     "state_events",
-    "validate",
     "scale_time",
 ]
 
@@ -130,8 +129,8 @@ class ModelParams:
     Failure laws are split by what the opposite host is doing at the
     time (idle / migrating / fixing / rebooting); by default a config
     ties all four to one law, but they are independently overridable.
-    A set is checked once, when it is built: :func:`validate` lists the
-    violations and construction raises ``ValueError`` naming all of them.
+    A set is checked once, when it is built: construction raises
+    ``ValueError`` naming every violation.
     """
 
     aging_primary: Distribution
@@ -163,7 +162,24 @@ class ModelParams:
     c3: float
 
     def __post_init__(self):
-        problems = validate(self)
+        problems = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in TRIGGERS:
+                if isinstance(value, Distribution):
+                    continue
+                if not (isinstance(value, (int, float)) and math.isfinite(value)):
+                    problems.append(f"trigger offset {f.name} is not finite: {value!r}")
+                elif value < 0:
+                    problems.append(f"trigger offset {f.name} negative: {value}")
+            elif f.name.startswith("c"):
+                if not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
+                    problems.append(f"branch probability {f.name} outside [0,1]: {value!r}")
+            elif not isinstance(value, Distribution):
+                problems.append(f"{f.name} is not a distribution: {value!r}")
+        csum = self.c1 + self.c2 + self.c3
+        if abs(csum - 1.0) > 1e-12:
+            problems.append(f"c1+c2+c3 = {csum} != 1")
         if problems:
             raise ValueError("invalid model parameters: " + "; ".join(problems))
 
@@ -274,30 +290,6 @@ def transition_matrix(p: ModelParams) -> np.ndarray:
 def sojourn_times(p: ModelParams) -> np.ndarray:
     """Mean sojourn time per state: integral of the survival product."""
     return _kernel(p)[1]
-
-
-def validate(p: ModelParams) -> list[str]:
-    """All invariant violations (empty list = valid); never aborts early."""
-    problems = []
-    for f in fields(ModelParams):
-        value = getattr(p, f.name)
-        if f.name in TRIGGERS:
-            if isinstance(value, Distribution):
-                continue
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
-                problems.append(f"trigger offset {f.name} is not finite: {value!r}")
-            elif value < 0:
-                problems.append(f"trigger offset {f.name} negative: {value}")
-        elif f.name.startswith("c"):
-            if not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
-                problems.append(f"branch probability {f.name} outside [0,1]: {value!r}")
-        else:
-            if not isinstance(value, Distribution):
-                problems.append(f"{f.name} is not a distribution: {value!r}")
-    csum = p.c1 + p.c2 + p.c3
-    if abs(csum - 1.0) > 1e-12:
-        problems.append(f"c1+c2+c3 = {csum} != 1")
-    return problems
 
 
 def scale_time(p: ModelParams, k: float) -> ModelParams:

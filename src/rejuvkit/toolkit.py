@@ -37,7 +37,14 @@ __all__ = [
 
 CSV_HEADER = ("variable", "value", "metric", "analytic", "sim_mean", "ci_low", "ci_high")
 METRICS = ("availability", "mttf", "completion")
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _check_metrics(metrics):
+    """Raise :class:`ConfigError` unless ``metrics`` lists known metrics, each once."""
+    if not metrics or len(set(metrics)) < len(metrics) or not set(metrics) <= set(METRICS):
+        raise ConfigError(
+            f"metrics {list(metrics)}: list one or more of {list(METRICS)}, none twice"
+        )
 
 
 @dataclass(frozen=True)
@@ -48,7 +55,9 @@ class SweepSpec:
     config path (e.g. ``branch.c1`` or ``triggers.a1``).  ``tie`` chooses
     which triggers a ``trigger_interval`` sweep moves: every trigger
     (``all``), only the primary-side ones (``primary``), or only the
-    backup-side ones (``backup``).  A spec is checked when it is built
+    backup-side ones (``backup``).  ``refine`` sharpens an interior
+    optimum from the grid values at the cost of one more evaluation per
+    metric (see :func:`run_sweep`).  A spec is checked when it is built
     and raises :class:`ConfigError`.
     """
 
@@ -67,9 +76,7 @@ class SweepSpec:
             raise ConfigError(f"sweep step must be positive, got {self.step}")
         if (self.stop - self.start) / self.step > 1e6:
             raise ConfigError("sweep grid exceeds 1e6 points")
-        bad = [m for m in self.metrics if m not in METRICS]
-        if bad:
-            raise ConfigError(f"unknown metrics {bad} (known: {list(METRICS)})")
+        _check_metrics(self.metrics)
         if self.tie not in ("all", *TRIGGER_SIDES):
             raise ConfigError(f"tie mode must be all/primary/backup, got {self.tie!r}")
 
@@ -128,25 +135,30 @@ def run_analyze(cfg: RunConfig):
     return report, rows
 
 
-def _refine_golden(f, lo, hi, minimise):
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
+def _refine(f, grid, vals, best, minimise):
+    """(value, metric) near the interior grid optimum ``best``: one
+    evaluation of ``f`` at the stationary point of the polynomial through
+    up to 3 grid values on each side, kept if it lies between the
+    bracketing grid points and is at least as good as ``best``."""
+    lo, hi = max(best - 3, 0), min(best + 4, len(grid))
+    x, fx = grid[best], vals[best]
+    if not all(map(math.isfinite, vals[lo:hi])):
+        return x, fx
+    # one solve and Newton steps: np.polyfit and np.roots would page in
+    # LAPACK code that nothing else runs, 3-5 MB of peak RSS in a sweep
+    steps = np.vander(np.arange(lo - best, hi - best, dtype=float))
+    coef = np.linalg.solve(steps, np.subtract(vals[lo:hi], fx))
+    slope, bend = np.polyder(coef), np.polyder(coef, 2)
+    u = 0.0
+    with np.errstate(all="ignore"):  # a flat window gives 0/0, and u is nan
+        for _ in range(8):
+            u -= np.polyval(slope, u) / np.polyval(bend, u)
+    if not abs(u) <= 1.0:
+        return x, fx
+    x_new = x + float(u) * (grid[1] - grid[0])
+    f_new = f(x_new)
     sign = 1.0 if minimise else -1.0
-    for _ in range(48):
-        if sign * f1 < sign * f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-        if b - a < 1e-9 * max(1.0, abs(b)):
-            break
-    x = 0.5 * (a + b)
-    return x, f(x)
+    return (x_new, f_new) if sign * f_new <= sign * fx else (x, fx)
 
 
 def run_sweep(cfg: RunConfig, spec: SweepSpec):
@@ -154,8 +166,9 @@ def run_sweep(cfg: RunConfig, spec: SweepSpec):
 
     The optimum maximises availability/MTTF and minimises completion
     time, breaking ties toward the smaller grid value.  With
-    ``spec.refine`` a golden-section pass between the bracketing grid
-    points sharpens the reported optimum.
+    ``spec.refine`` an interior optimum moves to the stationary point of
+    the polynomial through up to 7 grid values around it, evaluated once
+    more and kept if it is no worse than the grid point.
     """
     grid = spec.grid()
     rows = []
@@ -185,7 +198,7 @@ def run_sweep(cfg: RunConfig, spec: SweepSpec):
                 point = apply_variable(cfg, spec.variable, v, spec.tie)
                 return _evaluate(point, (_m,))[_m]
 
-            x, fx = _refine_golden(f, grid[best - 1], grid[best + 1], minimise)
+            x, fx = _refine(f, grid, vals, best, minimise)
             record.update(value=x, optimum=fx, refined=True)
         optima[m] = record
     return rows, optima
@@ -197,9 +210,7 @@ def run_simulate(cfg: RunConfig, sim: SimConfig, metrics=("availability", "mttf"
     ``triggers`` optionally re-runs the comparison over a list of
     trigger-interval values (one block of rows per value).
     """
-    bad = [m for m in metrics if m not in METRICS]
-    if bad:
-        raise ConfigError(f"unknown metrics {bad} (known: {list(METRICS)})")
+    _check_metrics(metrics)
     points = [None] if triggers is None else list(triggers)
     rows = []
     agreement = []

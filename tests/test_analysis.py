@@ -299,7 +299,6 @@ def test_large_erlang_failure_completes():
 
 
 def test_workload_validation():
-    assert WorkloadSpec(x=100.0).validate() == []
     with pytest.raises(ValueError, match="r2"):
         WorkloadSpec(x=100.0, r2=0.9)
     with pytest.raises(ValueError, match="b1 \\+ b2"):

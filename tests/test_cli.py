@@ -156,6 +156,23 @@ def test_sweep_cli(config_file, capsys, tmp_path):
     assert len(out.read_text().splitlines()) == 5
 
 
+@pytest.mark.parametrize("metrics", ["availability,availability", "", "mttf,latency"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["sweep", "--var", "trigger_interval", "--from", "20", "--to", "30", "--step", "5"],
+        ["simulate", "--reps", "5", "--seed", "3"],
+    ],
+)
+def test_bad_metric_list_exits_2(command, metrics, capsys, tmp_path):
+    out = tmp_path / "out.csv"
+    argv = [*command, "--config", "preset_f_hypo", "--metrics", metrics, "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: metrics") and not captured.out
+    assert not out.exists()
+
+
 def test_validate_cli_pass(config_file, capsys):
     assert main(["validate", "--config", config_file()]) == 0
     text = capsys.readouterr().out

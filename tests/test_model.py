@@ -15,7 +15,6 @@ from rejuvkit import (
     scale_time,
     sojourn_times,
     transition_matrix,
-    validate,
 )
 from rejuvkit.analysis import metrics_report
 from rejuvkit.config import load_config
@@ -212,7 +211,6 @@ def test_absorbing_blocks_structure():
 
 
 def test_validate_reports_all_violations():
-    assert validate(make_params(c=(0.9, 0.09, 0.01))) == []
     with pytest.raises(ValueError) as built:
         make_params(c=(0.5, 0.6, 0.1), a1=-5.0)
     text = str(built.value)

@@ -1,9 +1,13 @@
 import json
 import math
+import warnings
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from rejuvkit.analysis import completion_time
+from rejuvkit import toolkit
+from rejuvkit.analysis import completion_time, metrics_report
 from rejuvkit.config import (
     ConfigError,
     FAMILY_DEFAULTS,
@@ -161,8 +165,6 @@ def test_apply_variable_modes():
 @pytest.mark.parametrize("tie, moved", [("primary", ("a1", "a2", "a3")), ("backup", ("a4", "a5", "a6"))])
 def test_trigger_sweep_keeps_unmoved_triggers(tie, moved):
     # a distribution-valued trigger on the side that does not move stays as it is
-    from dataclasses import replace
-
     from rejuvkit.distributions import Exponential
 
     cfg = load_config("table7_defaults")
@@ -210,6 +212,112 @@ def test_sweep_refinement_stays_in_bracket():
     assert abs(record["value"] - 27.0) <= 3.0
 
 
+def _dense_argopt(cfg, metric, centre, minimise=False):
+    """Extremum of a degree-5 least-squares fit to 81 evaluations of
+    ``metric`` over [centre - 1, centre + 1] h of trigger interval."""
+    xs = np.linspace(centre - 1.0, centre + 1.0, 81)
+    points = [apply_variable(cfg, "trigger_interval", x) for x in xs]
+    if metric == "completion":
+        ys = np.array([completion_time(at.params, at.workload) for at in points])
+    else:
+        ys = np.array([getattr(metrics_report(at.params), metric) for at in points])
+    coef = np.polyfit(xs - centre, ys - ys.mean(), 5)
+    roots = np.roots(np.polyder(coef))
+    roots = roots.real[np.isreal(roots) & (np.abs(roots) <= 1.0)]
+    fitted = np.polyval(coef, roots)
+    return centre + roots[fitted.argmin() if minimise else fitted.argmax()]
+
+
+def test_refined_optima_match_dense_fit():
+    # the dense fits put the maxima at 26.84263045 h (availability) and
+    # 26.8426304685 h (MTTF); availability is so flat there (curvature
+    # -2.2e-9 /h^2) that rounding blurs its argmax more
+    cfg = load_config("preset_f_hypo")
+    spec = SweepSpec("trigger_interval", 0.0, 50.0, 1.0, metrics=("availability", "mttf"), refine=True)
+    _, optima = run_sweep(cfg, spec)
+    for metric, tol in (("availability", 1e-6), ("mttf", 1e-8)):
+        record = optima[metric]
+        assert record["refined"]
+        assert abs(record["value"] - _dense_argopt(cfg, metric, 27.0)) <= tol, metric
+        at = apply_variable(cfg, "trigger_interval", record["value"])
+        assert record["optimum"] == getattr(metrics_report(at.params), metric)
+        assert type(record["value"]) is float and type(record["optimum"]) is float
+
+
+def test_refined_sweep_evaluates_once_per_metric_beyond_grid(monkeypatch):
+    calls = []
+    real = toolkit.metrics_report
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(toolkit, "metrics_report", counted)
+    spec = SweepSpec("trigger_interval", 0.0, 50.0, 1.0, metrics=toolkit.METRICS, refine=True)
+    _, optima = run_sweep(load_config("preset_f_hypo"), spec)
+    # 51 grid reports serve availability and MTTF; each refines once, and
+    # completion's optimum lies at the grid end, so it is not refined
+    assert len(calls) == 53
+    assert [optima[m]["refined"] for m in toolkit.METRICS] == [True, True, False]
+
+
+def test_refined_completion_minimum_matches_dense_fit():
+    cfg = load_config("preset_f_hypo")
+    spec = SweepSpec("trigger_interval", 40.0, 70.0, 1.0, metrics=("completion",), refine=True)
+    record = run_sweep(cfg, spec)[1]["completion"]
+    grid_best = run_sweep(cfg, replace(spec, refine=False))[1]["completion"]
+    assert record["refined"] and grid_best["value"] == 56.0
+    assert abs(record["value"] - _dense_argopt(cfg, "completion", 56.0, minimise=True)) <= 1e-8
+    assert record["optimum"] <= grid_best["optimum"]
+
+
+def _parabola(x):
+    return 1.0 - ((x - 27.0) / 10.0) ** 2
+
+
+_COARSE = [10.0 * i for i in range(6)]
+
+
+@pytest.mark.parametrize(
+    "grid, vals, best, probe, want",
+    [
+        # an infinite MTTF in the window: no fit, no probe
+        ([0.0, 1.0, 2.0, 3.0, 4.0], [1.0, 3.0, math.inf, 2.0, 1.0], 2, None, 2.0),
+        # a flat window has no stationary point to move to
+        ([float(i) for i in range(7)], [5.0] * 7, 3, None, 3.0),
+        # the smallest grid with an interior point
+        ([0.0, 1.0, 2.0], [-0.49, -0.09, -1.69], 1, lambda x: -((x - 0.7) ** 2), 0.7),
+        # a coarse grid: the interpolant of a parabola is the parabola
+        (_COARSE, [_parabola(x) for x in _COARSE], 3, _parabola, 27.0),
+        # a probe worse than the grid point, or not a number, leaves it
+        (_COARSE, [_parabola(x) for x in _COARSE], 3, lambda x: 0.0, 30.0),
+        (_COARSE, [_parabola(x) for x in _COARSE], 3, lambda x: math.nan, 30.0),
+    ],
+)
+def test_refine_helper_never_worse_than_grid(grid, vals, best, probe, want):
+    probes = []
+
+    def f(x):
+        probes.append(x)
+        return probe(x)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, fx = toolkit._refine(f, grid, vals, best, minimise=False)
+    assert x == pytest.approx(want, abs=1e-12)
+    assert fx >= vals[best]
+    assert len(probes) == (0 if probe is None else 1)
+    if x != grid[best]:
+        assert fx == probe(x)
+    # minimising the negated values gives the mirror image
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x_min, fx_min = toolkit._refine(
+            lambda v: -f(v), grid, [-v for v in vals], best, minimise=True
+        )
+    assert (x_min, fx_min) == (x, -fx)
+
+
 def test_halving_step_moves_optimum_at_most_one_coarse_step():
     cfg = f_hypo_config()
     coarse = SweepSpec("trigger_interval", 0.0, 50.0, 10.0, metrics=("availability",))
@@ -236,8 +344,6 @@ def test_sweep_reproduces_published_optimum_row():
     assert optima["availability"]["value"] == 27.0
     assert optima["mttf"]["value"] == 27.0
     assert optima["mttf"]["optimum"] == pytest.approx(6689.6023, rel=1e-3)
-    from rejuvkit.analysis import metrics_report
-
     direct = metrics_report(apply_variable(cfg, "trigger_interval", 27.0).params)
     assert optima["availability"]["optimum"] == pytest.approx(direct.availability, abs=5e-9)
     assert optima["mttf"]["optimum"] == pytest.approx(direct.mttf, abs=5e-9 * direct.mttf)
@@ -318,9 +424,6 @@ def test_run_validate_ctmc_check_runs_only_for_exponential():
 
 
 def test_run_validate_reports_distribution_trigger_without_raising(monkeypatch):
-    from dataclasses import replace
-
-    import rejuvkit.toolkit as toolkit
     from rejuvkit.distributions import Exponential
 
     cfg = load_config("table7_defaults")
@@ -341,8 +444,6 @@ def test_run_validate_reports_distribution_trigger_without_raising(monkeypatch):
 
 
 def test_run_validate_and_analyze_when_absorption_unreachable():
-    from dataclasses import replace
-
     from rejuvkit.distributions import Deterministic
 
     cfg = load_config("table7_defaults")
