@@ -14,9 +14,8 @@ constructor, whose error becomes a :class:`ConfigError`.
 
 from __future__ import annotations
 
-import copy
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 
 from . import distributions as dist
@@ -100,8 +99,11 @@ FITTED_BRANCH = {"c1": 0.6, "c2": 0.2, "c3": 0.2}
 
 _BRANCH = ("c1", "c2", "c3")
 DIST_NAMES = tuple(f.name for f in fields(ModelParams) if f.name not in TRIGGERS + _BRANCH)
-_TIE_KEYS = ("tied_all", *(f"tied_{side}" for side in TRIGGER_SIDES))
+# the triggers each key of a triggers block sets; a later key wins
+_TRIGGER_KEYS = {"tied_all": TRIGGERS} | {f"tied_{s}": keys for s, keys in TRIGGER_SIDES.items()}
+_TRIGGER_KEYS |= {k: (k,) for k in TRIGGERS}
 _WORKLOAD_SCALAR = ("x", "x1", "r1", "r2", "b1", "b2", "t1")
+_SCALAR_PATHS = {"triggers": _TRIGGER_KEYS, "branch": _BRANCH, "workload": _WORKLOAD_SCALAR}
 _WORKLOAD_LAWS = ("restart_overhead_primary", "restart_overhead_backup")
 _TOP_KEYS = ("schema", "notes", "preset", "distributions", "triggers", "branch", "workload")
 
@@ -118,35 +120,41 @@ def default_config() -> dict:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A checked configuration with its normalised raw document."""
+    """A checked configuration: the model parameters and the optional workload."""
 
-    raw: dict
     params: ModelParams
     workload: WorkloadSpec | None
 
     def with_overrides(self, overrides: dict) -> "RunConfig":
-        """New config with dotted-path overrides applied (used by sweeps)."""
-        doc = copy.deepcopy(self.raw)
+        """New config with dotted paths (listed in the README) set on the parsed
+        objects; a bad path or value raises :class:`ConfigError`."""
+        laws, given = {}, {block: {} for block in _SCALAR_PATHS}
         for path, value in overrides.items():
-            parts = path.split(".")
-            node = doc
-            for key in parts[:-1]:
-                node = node.setdefault(key, {})
-                if not isinstance(node, dict):
-                    raise ConfigError(f"override path {path!r} does not address an object")
-            node[parts[-1]] = value
-        return parse_config(doc)
+            block, _, key = path.partition(".")
+            name, _, field = key.partition(".")
+            if block == "distributions" and name in DIST_NAMES and field:
+                law = laws.get(name, getattr(self.params, name))
+                laws[name] = _build(path, replace, law, **{field: _number(value, path)})
+            elif block == "distributions" and name in DIST_NAMES:
+                laws[name] = value
+            elif key in _SCALAR_PATHS.get(block, ()):
+                given[block][key] = _number(value, path)
+            else:
+                _fail(path, "not a settable path")
+        offsets = _tie_offsets(given["triggers"])
+        params = _build("", replace, self.params, **laws, **offsets, **given["branch"])
+        if self.workload is None:  # a workload.x override builds a workload
+            return RunConfig(params, _resolve_workload(given["workload"] or None))
+        return RunConfig(params, _build("", replace, self.workload, **given["workload"]))
 
 
 def _fail(path, message):
-    raise ConfigError(f"{path}: {message}")
+    raise ConfigError(f"{path}: {message}" if path else message)
 
 
-def _number(value, path, minimum=None):
+def _number(value, path):
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         _fail(path, f"expected a number, got {value!r}")
-    if minimum is not None and value < minimum:
-        _fail(path, f"must be >= {minimum}, got {value}")
     return float(value)
 
 
@@ -160,17 +168,24 @@ def _block(doc, path, allowed):
     return doc
 
 
-def _law(fragment, path):
-    """The distribution of a JSON fragment; an error names ``path``."""
+def _build(path, build, /, *args, **kwargs):
+    """``build(*args, **kwargs)``, its error raised as a :class:`ConfigError`
+    that names ``path`` (replace() raises TypeError on an unknown field)."""
     try:
-        return dist.from_json(fragment)
-    except ValueError as exc:
+        return build(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
         _fail(path, str(exc))
+
+
+def _tie_offsets(triggers: dict) -> dict:
+    """The offset of each trigger that the keys of a triggers block set."""
+    return {t: triggers[k] for k, moved in _TRIGGER_KEYS.items() if k in triggers for t in moved}
 
 
 def resolve_params(doc: dict) -> ModelParams:
     """ModelParams from a config document, checking each block it reads."""
-    preset = doc.get("preset", "Exponential")
+    doc = {**default_config(), **doc}
+    preset = doc["preset"]
     if not isinstance(preset, str) or preset not in PRESETS:
         _fail("preset", f"unknown preset {preset!r} (known: {sorted(PRESETS)})")
     assignment = PRESETS[preset]
@@ -181,30 +196,20 @@ def resolve_params(doc: dict) -> ModelParams:
         laws[name] = dist.from_json(FAMILY_DEFAULTS[group][assignment.get(group, "exp")])
     overrides = _block(doc.get("distributions", {}), "distributions", DIST_NAMES)
     for name, fragment in overrides.items():
-        laws[name] = _law(fragment, f"distributions.{name}")
+        laws[name] = _build(f"distributions.{name}", dist.from_json, fragment)
 
-    given = _block(doc.get("triggers", {"tied_all": 30.0}), "triggers", TRIGGERS + _TIE_KEYS)
-    triggers = {k: _number(v, f"triggers.{k}", minimum=0.0) for k, v in given.items()}
-    offsets = {}
-    if "tied_all" in triggers:
-        offsets.update(dict.fromkeys(TRIGGERS, triggers["tied_all"]))
-    for side, keys in TRIGGER_SIDES.items():
-        if f"tied_{side}" in triggers:
-            offsets.update(dict.fromkeys(keys, triggers[f"tied_{side}"]))
-    offsets.update((k, v) for k, v in triggers.items() if k in TRIGGERS)
+    given = _block(doc["triggers"], "triggers", _TRIGGER_KEYS)
+    offsets = _tie_offsets({k: _number(v, f"triggers.{k}") for k, v in given.items()})
     missing = [k for k in TRIGGERS if k not in offsets]
     if missing:
         _fail("triggers", f"no value for {missing}; give per-trigger values or a tied_* key")
 
-    branch = _block(doc.get("branch", FITTED_BRANCH), "branch", _BRANCH)
+    branch = _block(doc["branch"], "branch", _BRANCH)
     for k in _BRANCH:
         if k not in branch:
             _fail(f"branch.{k}", "missing")
     probabilities = {k: _number(branch[k], f"branch.{k}") for k in _BRANCH}
-    try:
-        return ModelParams(**laws, **offsets, **probabilities)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _build("", ModelParams, **laws, **offsets, **probabilities)
 
 
 def _resolve_workload(block) -> WorkloadSpec | None:
@@ -214,16 +219,15 @@ def _resolve_workload(block) -> WorkloadSpec | None:
     if "x" not in block:
         _fail("workload.x", "the work requirement x is required")
     kwargs = {k: _number(block[k], f"workload.{k}") for k in _WORKLOAD_SCALAR if k in block}
-    kwargs.update((k, _law(block[k], f"workload.{k}")) for k in _WORKLOAD_LAWS if k in block)
+    kwargs.update(
+        (k, _build(f"workload.{k}", dist.from_json, block[k])) for k in _WORKLOAD_LAWS if k in block
+    )
     if "backup_restart_via_primary" in block:
         flag = block["backup_restart_via_primary"]
         if not isinstance(flag, bool):
             _fail("workload.backup_restart_via_primary", f"expected a boolean, got {flag!r}")
         kwargs["backup_restart_via_primary"] = flag
-    try:
-        return WorkloadSpec(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _build("", WorkloadSpec, **kwargs)
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -233,9 +237,7 @@ def parse_config(doc: dict) -> RunConfig:
         _fail("schema", f"expected schema 1, got {doc.get('schema')!r}")
     if "notes" in doc and not isinstance(doc["notes"], str):
         _fail("notes", "expected a string")
-    params = resolve_params(doc)
-    workload = _resolve_workload(doc.get("workload"))
-    return RunConfig(raw=copy.deepcopy(doc), params=params, workload=workload)
+    return RunConfig(resolve_params(doc), _resolve_workload(doc.get("workload")))
 
 
 def load_config(path) -> RunConfig:

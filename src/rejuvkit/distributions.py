@@ -161,6 +161,8 @@ class Erlang(Distribution):
     shape: int
 
     def __post_init__(self):
+        if isinstance(self.shape, float) and self.shape.is_integer():
+            object.__setattr__(self, "shape", int(self.shape))  # 2.0 is read as 2
         if not (isinstance(self.shape, int) and self.shape >= 1):
             raise ValueError(f"erlang shape must be a positive integer, got {self.shape}")
         super().__post_init__()
@@ -306,10 +308,7 @@ def from_json(fragment: dict) -> Distribution:
         value = frag.pop(f.name)
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ValueError(f"field {f.name!r} must be a number, got {value!r}")
-        integral = f.type in ("int", int)
-        if integral and not float(value).is_integer():
-            raise ValueError(f"field {f.name!r} must be an integer, got {value!r}")
-        params[f.name] = int(value) if integral else float(value)
+        params[f.name] = value
     if frag:
         raise ValueError(f"unknown fields {sorted(frag)} in distribution fragment")
     # parameters given per unit: normalising to hours is a change of time unit

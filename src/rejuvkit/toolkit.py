@@ -20,7 +20,7 @@ import numpy as np
 from . import ctmc
 from .analysis import CompletionNotApplicable, completion_lsts, completion_time, metrics_report
 from .config import ConfigError, RunConfig
-from .distributions import Distribution, Exponential, to_json
+from .distributions import Distribution, Exponential
 from .model import TRIGGER_SIDES, TRIGGERS
 from .simulator import SimConfig, simulate_availability, simulate_completion, simulate_mttf
 
@@ -79,6 +79,8 @@ class SweepSpec:
         _check_metrics(self.metrics)
         if self.tie not in ("all", *TRIGGER_SIDES):
             raise ConfigError(f"tie mode must be all/primary/backup, got {self.tie!r}")
+        if self.tie != "all" and self.variable != "trigger_interval":
+            raise ConfigError(f"tie mode {self.tie!r} applies only to trigger_interval")
 
     def grid(self):
         n = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
@@ -86,24 +88,17 @@ class SweepSpec:
 
 
 def apply_variable(cfg: RunConfig, variable: str, value: float, tie: str = "all") -> RunConfig:
-    """Config with the swept variable set to ``value``."""
+    """Config with the swept variable set to ``value`` by
+    :meth:`RunConfig.with_overrides`."""
     if variable == "trigger_interval":
-        moved = TRIGGERS if tie == "all" else TRIGGER_SIDES[tie]
-        try:
-            params = replace(cfg.params, **{k: float(value) for k in moved})
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        # the unmoved triggers keep their values; raw can hold only numbers
-        triggers = {k: getattr(params, k) for k in TRIGGERS}
-        numeric = {k: v for k, v in triggers.items() if not isinstance(v, Distribution)}
-        return replace(cfg, params=params, raw={**cfg.raw, "triggers": numeric})
+        return cfg.with_overrides({f"triggers.tied_{tie}": value})
     if variable == "fixing_mean":
         if value <= 0:
             raise ConfigError(f"fixing_mean must be positive, got {value}")
         return cfg.with_overrides(
             {
-                "distributions.fixing_primary": to_json(cfg.params.fixing_primary.with_mean(value)),
-                "distributions.fixing_backup": to_json(cfg.params.fixing_backup.with_mean(value)),
+                "distributions.fixing_primary": cfg.params.fixing_primary.with_mean(value),
+                "distributions.fixing_backup": cfg.params.fixing_backup.with_mean(value),
             }
         )
     return cfg.with_overrides({variable: value})
@@ -212,6 +207,8 @@ def run_simulate(cfg: RunConfig, sim: SimConfig, metrics=("availability", "mttf"
     """
     _check_metrics(metrics)
     points = [None] if triggers is None else list(triggers)
+    if not points:
+        raise ConfigError(f"triggers {points}: list one or more trigger intervals")
     rows = []
     agreement = []
     for point in points:

@@ -198,6 +198,8 @@ def test_criterion_4_simulation_cross_validation():
 
 def test_criterion_5_optimum_location():
     started = time.time()
+    from rejuvkit.toolkit import apply_variable
+
     cfg = f_hypo_config(workload=True)
     spec = SweepSpec("trigger_interval", 0.0, 50.0, 1.0, metrics=("availability", "mttf"))
     _, optima = run_sweep(cfg, spec)
@@ -223,9 +225,7 @@ def test_criterion_5_optimum_location():
         sim = SimConfig(replications=3000, seed=51, horizon=1e5)
         agree = []
         for trigger, ref in REF_COMPLETION.items():
-            point = parse_config(
-                {**cfg.raw, "triggers": {"tied_all": trigger}}
-            )
+            point = apply_variable(cfg, "trigger_interval", trigger)
             analytic = completion_time(point.params, point.workload, method="analytic")
             est = simulate_completion(point.params, point.workload, sim)
             half = (est.ci_high - est.ci_low) / 2.0

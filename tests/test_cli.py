@@ -173,6 +173,18 @@ def test_bad_metric_list_exits_2(command, metrics, capsys, tmp_path):
     assert not out.exists()
 
 
+def test_empty_trigger_list_exits_2(capsys, tmp_path):
+    out = tmp_path / "out.csv"
+    argv = [
+        "simulate", "--config", "preset_f_hypo", "--reps", "5", "--seed", "3",
+        "--triggers", ",", "--out", str(out),
+    ]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: triggers") and not captured.out
+    assert not out.exists()
+
+
 def test_validate_cli_pass(config_file, capsys):
     assert main(["validate", "--config", config_file()]) == 0
     text = capsys.readouterr().out

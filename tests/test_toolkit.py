@@ -18,7 +18,8 @@ from rejuvkit.config import (
     load_config,
     parse_config,
 )
-from rejuvkit.distributions import from_json
+from rejuvkit.config import _TRIGGER_KEYS, DIST_NAMES
+from rejuvkit.distributions import Exponential, from_json, to_json
 from rejuvkit.simulator import SimConfig
 from rejuvkit.toolkit import (
     CSV_HEADER,
@@ -144,6 +145,9 @@ def test_sweep_spec_validation():
         SweepSpec("trigger_interval", 0.0, 10.0, 1.0, metrics=("latency",))
     with pytest.raises(ConfigError, match="tie"):
         SweepSpec("trigger_interval", 0.0, 10.0, 1.0, tie="sideways")
+    for variable in ("fixing_mean", "triggers.a1"):
+        with pytest.raises(ConfigError, match="tie mode"):
+            SweepSpec(variable, 0.8, 1.2, 0.1, tie="primary")
     assert SweepSpec("x", 0.0, 5.0, 1.0).grid() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
 
 
@@ -165,8 +169,6 @@ def test_apply_variable_modes():
 @pytest.mark.parametrize("tie, moved", [("primary", ("a1", "a2", "a3")), ("backup", ("a4", "a5", "a6"))])
 def test_trigger_sweep_keeps_unmoved_triggers(tie, moved):
     # a distribution-valued trigger on the side that does not move stays as it is
-    from rejuvkit.distributions import Exponential
-
     cfg = load_config("table7_defaults")
     fixed = "a5" if tie == "primary" else "a2"
     law = Exponential(1.0 / 30.0)
@@ -175,12 +177,93 @@ def test_trigger_sweep_keeps_unmoved_triggers(tie, moved):
     for k in ("a1", "a2", "a3", "a4", "a5", "a6"):
         want = 12.0 if k in moved else law if k == fixed else 30.0
         assert getattr(point.params, k) == want, k
-    assert point.raw["triggers"] == {
-        k: 12.0 if k in moved else 30.0 for k in ("a1", "a2", "a3", "a4", "a5", "a6") if k != fixed
-    }
     assert (point.params.c1, point.workload) == (cfg.params.c1, cfg.workload)
     with pytest.raises(ConfigError, match="negative"):
         apply_variable(cfg, "trigger_interval", -1.0, tie)
+
+
+@pytest.mark.parametrize(
+    "variable, value, tie",
+    [
+        ("fixing_mean", 1.2, "all"),
+        ("triggers.a1", 12.0, "all"),
+        ("workload.x", 100.0, "all"),
+        ("trigger_interval", 12.0, "all"),
+        ("trigger_interval", 12.0, "primary"),
+        ("trigger_interval", 12.0, "backup"),
+    ],
+)
+def test_model_edits_survive_every_knob(variable, value, tie):
+    # an edit made on the parsed model is kept by every swept variable
+    cfg = load_config("table7_defaults")
+    law = Exponential(1.0 / 30.0)
+    cfg = replace(cfg, params=replace(cfg.params, a5=law, c1=0.5, c2=0.3, c3=0.2))
+    point = apply_variable(cfg, variable, value, tie)
+    moved = variable == "trigger_interval" and tie != "primary"
+    assert point.params.a5 == (value if moved else law)
+    assert (point.params.c1, point.params.c2, point.params.c3) == (0.5, 0.3, 0.2)
+
+
+def _reference_edits(params):
+    """(overrides, document edit) pairs, one or more per kind of dotted path."""
+    edits = [({f"triggers.{k}": 12.5}, {"triggers": {k: 12.5}}) for k in _TRIGGER_KEYS]
+    edits.append(({"branch.c1": 0.5, "branch.c2": 0.3}, {"branch": {"c1": 0.5, "c2": 0.3}}))
+    edits += [({f"workload.{k}": v}, {"workload": {k: v}}) for k, v in (("x", 100.0), ("t1", 5.0))]
+    fragment = {"kind": "erlang", "rate": 0.5, "shape": 3, "unit": "min"}
+    law = from_json(fragment)
+    edits.append(({"distributions.reboot_backup": law}, {"distributions": {"reboot_backup": fragment}}))
+    for name in DIST_NAMES:
+        hours = to_json(getattr(params, name))
+        for field in hours.keys() - {"kind", "unit"}:
+            value = hours[field] + 1.0 if field == "shape" else 2.0 * hours[field]
+            edits.append(
+                (
+                    {f"distributions.{name}.{field}": value},
+                    {"distributions": {name: {**hours, field: value}}},
+                )
+            )
+    return edits
+
+
+@pytest.mark.parametrize("name", [None, *bundled_config_names()])
+def test_overrides_match_parsing_the_edited_document(name):
+    # the parser is the reference: an override equals parsing the document
+    # edited at that path, or fails as that does (the default config has no
+    # workload block, so workload.t1 alone is refused there)
+    doc = default_config() if name is None else json.loads(bundled_config(name))
+    cfg = parse_config(doc)
+    for overrides, edit in _reference_edits(cfg.params):
+        edited = json.loads(json.dumps(doc))
+        for block, values in edit.items():
+            edited.setdefault(block, {}).update(values)
+        try:
+            want = parse_config(edited)
+        except ConfigError:
+            with pytest.raises(ConfigError):
+                cfg.with_overrides(overrides)
+        else:
+            assert cfg.with_overrides(overrides) == want, overrides
+
+
+def test_distribution_field_sweep_on_a_preset_law():
+    # the law comes from the preset, not from the document; the field is per hour
+    cfg = load_config("preset_f_hypo")
+    rows, _ = run_sweep(cfg, SweepSpec("distributions.migration.rate", 100.0, 140.0, 20.0))
+    for row in rows[::2]:
+        direct = metrics_report(replace(cfg.params, migration=Exponential(row[1])))
+        assert row[3] == direct.availability
+    cfg = load_config("preset_m_erl")
+    point = cfg.with_overrides({"distributions.migration.shape": 3.0})
+    assert point.params.migration.shape == 3 and isinstance(point.params.migration.shape, int)
+    for path, match in [
+        ("distributions.migration.shape", "positive integer"),
+        ("distributions.migration.scale", "scale"),
+        ("distributions.migration", "not a distribution"),
+        ("triggers.a7", "not a settable path"),
+        ("workload.restart_overhead_primary", "not a settable path"),
+    ]:
+        with pytest.raises(ConfigError, match=match):
+            cfg.with_overrides({path: 2.5})
 
 
 def test_fixing_mean_override_keeps_family():
