@@ -33,15 +33,6 @@ def _rate(d, name):
     return d.rate
 
 
-def _trigger_rate(a, name):
-    if isinstance(a, Exponential):
-        return a.rate
-    raise CtmcNotApplicable(
-        f"trigger {name} must be an exponential law for the CTMC check "
-        f"(replace the unit-step delay by an exponential of equal mean), got {a!r}"
-    )
-
-
 def generator(p: ModelParams) -> np.ndarray:
     """12x12 generator matrix; raises CtmcNotApplicable when inexact."""
     for c, name in ((p.c1, "c1"), (p.c2, "c2"), (p.c3, "c3")):
@@ -58,8 +49,8 @@ def generator(p: ModelParams) -> np.ndarray:
     arc(0, 8, _rate(p.aging_primary, "aging_primary"))
     arc(1, 11, _rate(p.fail_idle_backup, "fail_idle_backup"))
     if p.c1:
-        arc(1, 9, _trigger_rate(p.a4, "a4"))
-        arc(8, 2, _trigger_rate(p.a1, "a1"))
+        arc(1, 9, _rate(p.a4, "trigger a4"))
+        arc(8, 2, _rate(p.a1, "trigger a1"))
     if p.c2:
         arc(1, 5, _rate(p.reboot_primary, "reboot_primary"))
         arc(8, 3, _rate(p.reboot_backup, "reboot_backup"))
@@ -68,13 +59,13 @@ def generator(p: ModelParams) -> np.ndarray:
         arc(8, 6, _rate(p.fixing_backup, "fixing_backup"))
     arc(2, 7, _rate(p.migration, "migration"))
     arc(2, 10, _rate(p.fail_migrating_primary, "fail_migrating_primary"))
-    arc(3, 2, _trigger_rate(p.a3, "a3"))
+    arc(3, 2, _rate(p.a3, "trigger a3"))
     arc(3, 10, _rate(p.fail_reboot_primary, "fail_reboot_primary"))
-    arc(4, 9, _trigger_rate(p.a5, "a5"))
+    arc(4, 9, _rate(p.a5, "trigger a5"))
     arc(4, 11, _rate(p.fail_fixing_backup, "fail_fixing_backup"))
-    arc(5, 9, _trigger_rate(p.a6, "a6"))
+    arc(5, 9, _rate(p.a6, "trigger a6"))
     arc(5, 11, _rate(p.fail_reboot_backup, "fail_reboot_backup"))
-    arc(6, 2, _trigger_rate(p.a2, "a2"))
+    arc(6, 2, _rate(p.a2, "trigger a2"))
     arc(6, 10, _rate(p.fail_fixing_primary, "fail_fixing_primary"))
     arc(7, 1, _rate(p.aging_backup, "aging_backup"))
     arc(8, 10, _rate(p.fail_idle_primary, "fail_idle_primary"))

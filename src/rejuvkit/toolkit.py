@@ -52,13 +52,16 @@ class SweepSpec:
     """Grid sweep of one scalar knob.
 
     ``variable`` is ``trigger_interval``, ``fixing_mean``, or a dotted
-    config path (e.g. ``branch.c1`` or ``triggers.a1``).  ``tie`` chooses
-    which triggers a ``trigger_interval`` sweep moves: every trigger
-    (``all``), only the primary-side ones (``primary``), or only the
-    backup-side ones (``backup``).  ``refine`` sharpens an interior
-    optimum from the grid values at the cost of one more evaluation per
-    metric (see :func:`run_sweep`).  A spec is checked when it is built
-    and raises :class:`ConfigError`.
+    config path (e.g. ``triggers.a1`` or ``workload.x``).  The branch
+    paths ``branch.cK`` must be set together, through
+    :meth:`RunConfig.with_overrides`, so a sweep of one of them fails
+    the simplex check.  ``tie`` chooses which triggers a
+    ``trigger_interval`` sweep moves: every trigger (``all``), only the
+    primary-side ones (``primary``), or only the backup-side ones
+    (``backup``).  ``refine`` sharpens an interior optimum from the grid
+    values at the cost of one more evaluation per metric (see
+    :func:`run_sweep`).  A spec is checked when it is built and raises
+    :class:`ConfigError`.
     """
 
     variable: str

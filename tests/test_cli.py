@@ -185,6 +185,15 @@ def test_empty_trigger_list_exits_2(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_single_branch_sweep_exits_2(capsys):
+    argv = [
+        "sweep", "--config", "preset_f_hypo", "--var", "branch.c1",
+        "--from", "0.5", "--to", "0.7", "--step", "0.1",
+    ]
+    assert main(argv) == 2
+    assert "c1+c2+c3" in capsys.readouterr().err
+
+
 def test_validate_cli_pass(config_file, capsys):
     assert main(["validate", "--config", config_file()]) == 0
     text = capsys.readouterr().out

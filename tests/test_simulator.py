@@ -75,7 +75,7 @@ def test_t_quantile_matches_scipy():
     from scipy.special import stdtrit
 
     grid = np.unique(np.geomspace(300, 200_000, 120).round().astype(int))
-    for df in [*range(1, 301), *grid.tolist()]:
+    for df in [*range(1, 301), *grid.tolist(), 300_000, 1_000_000, 10_000_000, 1_000_000_000]:
         assert sim._t975(df) == pytest.approx(stdtrit(df, 0.975), rel=1e-14, abs=0.0)
 
 
