@@ -5,13 +5,15 @@ Usage, from the repository root::
     python3 bench/run.py --out BENCH.json
     python3 bench/run.py --out BENCH.json --baseline ../parent-checkout
 
-Every time but ``pytest_wall`` (one run of the suite) is the best of
-``REPEAT`` runs (stdlib ``timeit``).  In-process layers run with the
-exact-work memos of ``rejuvkit.numerics`` cleared before each run, as a
-fresh process meets them.  ``import`` and the ``cli_<subcommand>`` runs
-are fresh interpreters; with ``--baseline`` they are timed on that
-checkout's ``src/`` too, alternating run by run.  BLAS is pinned to one
-thread, as in ``perfbench``.
+In-process layers are the best of ``REPEAT`` runs (stdlib ``timeit``),
+run with the exact-work memos of ``rejuvkit.numerics`` cleared before
+each run, as a fresh process meets them.  ``import`` and the
+``cli_<subcommand>`` runs are fresh interpreters, reported as the median
+and quartiles of ``PROCESS_RUNS`` runs: a best-of-few minimum cannot
+separate two trees on a shared host.  With ``--baseline`` they are timed
+on that checkout's ``src/`` too, in pairs whose order alternates.
+``pytest_wall`` is one run of the suite.  BLAS is pinned to one thread,
+as in ``perfbench``.
 """
 
 import os
@@ -22,6 +24,7 @@ os.environ.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS
 import argparse  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
+import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -31,6 +34,7 @@ from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 REPEAT = 5
+PROCESS_RUNS = 11
 SWEEP_CONFIG = "preset_f_hypo"  # the paper's trigger study, as in perfbench
 SIM_REPS = {"availability": 100, "mttf": 1000, "completion": 1000}
 METRICS = ("availability", "mttf", "completion")
@@ -110,7 +114,7 @@ def fresh(src, args, cwd):
 
 
 def processes(baseline):
-    """``import`` and ``cli_<subcommand>``, here and on the baseline, run by run."""
+    """``import`` and ``cli_<subcommand>``, here and on the baseline, in alternating pairs."""
     cli = ["-m", "rejuvkit.cli"]
     config = ["--config", SWEEP_CONFIG]
     runs = {
@@ -122,18 +126,24 @@ def processes(baseline):
         "cli_simulate": [*cli, "simulate", *config, "--reps", "200", "--seed", "5",
                          "--out", "simulate.csv"],
     }
-    sources = {"this": ROOT / "src"}
+    sources = [("this", ROOT / "src")]
     if baseline is not None:
-        sources["baseline"] = Path(baseline).resolve() / "src"
+        sources.append(("baseline", Path(baseline).resolve() / "src"))
     out = {}
     with tempfile.TemporaryDirectory() as cwd:
         for key, args in runs.items():
-            times = {side: [] for side in sources}
-            for _ in range(REPEAT):
-                for side, src in sources.items():
+            times = {side: [] for side, _ in sources}
+            for run in range(PROCESS_RUNS):
+                for side, src in sources[:: -1 if run % 2 else 1]:
                     times[side].append(fresh(src, args, cwd))
-            out[key] = {side: round(min(t), 4) for side, t in times.items()}
+            out[key] = {side: quartiles(t) for side, t in times.items()}
     return out
+
+
+def quartiles(times):
+    """Median and quartiles of ``times``, in seconds."""
+    q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
 def machine():
@@ -148,8 +158,10 @@ def machine():
         "numpy": numpy.__version__,
         "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
         "repeat": REPEAT,
-        "note": "best of `repeat`; in-process layers with the numerics memos cleared "
-        "before each run; `sojourn` and `kernel` time the same kernel build",
+        "process_runs": PROCESS_RUNS,
+        "note": "in-process layers: best of `repeat`, with the numerics memos cleared "
+        "before each run; `sojourn` and `kernel` time the same kernel build; import and "
+        "cli_*: median and quartiles of `process_runs` fresh processes per side",
     }
 
 

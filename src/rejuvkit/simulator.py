@@ -2,14 +2,16 @@
 
 Independent cross-validation of the analytic metrics: each state is
 simulated as a race of competing events (one duration sampled per armed
-event, minimum wins, resampled on every entry - the Markov-renewal
-property at transition epochs).  A phase-type duration is the sum of one
-exponential draw per phase, in phase order (``Distribution.sample``).
-Availability accumulates only the time spent in the failed states.
-Replications use substreams derived from (seed, metric, replication
-index), so results are reproducible and independent of execution order.
-Parameter sets, workloads and :class:`SimConfig` check themselves when
-they are built, so the simulators take them as given.
+event, minimum wins).  A phase-type duration is one exponential draw per
+phase, summed (``Distribution.sample``).  Every entry races afresh (the
+Markov-renewal property at transition epochs), so a state's races are
+i.i.d. whatever path led there: they are drawn in numpy blocks of
+``POOL`` and each walk takes the next one on entry, which leaves the
+law of every walk unchanged; completion attempts are pooled likewise.
+Each estimate draws from one stream derived from (seed, metric), its
+replications in order: results are reproducible, and the first k
+replications are the same whatever the total.  Parameter sets,
+workloads and :class:`SimConfig` check themselves when they are built.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
 ]
 
 GUARD_HORIZON = 1e9  # hours; a replication running past this is censored
+POOL = 1024  # races, or completion attempts, drawn per block
 _TAG_AVAILABILITY = 1
 _TAG_MTTF = 2
 _TAG_COMPLETION = 3
@@ -67,9 +70,9 @@ class Estimate:
         return self.ci_low <= value <= self.ci_high
 
 
-def _rng(seed: int, tag: int, rep: int) -> np.random.Generator:
-    entropy = (seed & 0xFFFFFFFFFFFFFFFF, tag, rep)
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+def _rng(seed: int, tag: int) -> np.random.Generator:
+    entropy = np.random.SeedSequence((seed & 0xFFFFFFFFFFFFFFFF, tag))
+    return np.random.Generator(np.random.PCG64(entropy))
 
 
 def _stirling_tail(x: float) -> float:
@@ -144,27 +147,38 @@ def _estimate(metric, values, truncated=0) -> Estimate:
     return Estimate(metric, mean, mean - half, mean + half, n, truncated)
 
 
-def _step(events, rng):
-    """(sojourn, next state); simultaneous firings go to the earlier event."""
-    best = math.inf
-    target = -1
+def _races(events, rng, n):
+    """n independent races of one state: (sojourns, next states) as lists.
+
+    Events draw n durations each in priority order, then n arming draws
+    if thinned; a strict ``<`` gives ties to the earlier event.  A race
+    no armed event enters lasts forever and leads to state -1.
+    """
+    best = np.full(n, math.inf)
+    target = np.full(n, -1)
     for ev in events:
-        if ev.thin < 1.0 and rng.random() >= ev.thin:
-            continue
-        d = ev.dist.sample(rng)
-        if d < best:
-            best = d
-            target = ev.target
-    return best, target
+        d = ev.dist.sample(rng, n)
+        if ev.thin < 1.0:
+            d[rng.random(n) >= ev.thin] = math.inf
+        won = d < best
+        best[won] = d[won]
+        target[won] = ev.target
+    return best.tolist(), target.tolist()
 
 
-def _downtime(events, rng, horizon, warmup) -> float:
+def _outcomes(events, rng):
+    """The races of one state, one (sojourn, next state) per entry, drawn POOL at a time."""
+    while True:
+        yield from zip(*_races(events, rng, POOL))
+
+
+def _downtime(races, horizon, warmup) -> float:
     """Hours spent in the failed states 10 and 11 between warmup and horizon."""
     down = 0.0
     t = 0.0
     state = 0
     while t < horizon:
-        dt, nxt = _step(events[state], rng)
+        dt, nxt = next(races[state])
         if state >= 10:
             overlap = min(t + dt, horizon) - max(t, warmup)
             if overlap > 0.0:
@@ -180,28 +194,25 @@ def simulate_availability(p: ModelParams, c: SimConfig) -> Estimate:
     Accumulates the (rare) downtime and returns its complement: exact
     when no failure ever fires, and better conditioned in general.
     """
-    events = state_events(p)
+    rng = _rng(c.seed, _TAG_AVAILABILITY)
+    races = [_outcomes(events, rng) for events in state_events(p)]
     span = c.horizon - c.warmup
-    values = [
-        1.0 - _downtime(events, _rng(c.seed, _TAG_AVAILABILITY, rep), c.horizon, c.warmup) / span
-        for rep in range(c.replications)
-    ]
-    return _estimate("availability", values)
+    down = [_downtime(races, c.horizon, c.warmup) for _ in range(c.replications)]
+    return _estimate("availability", [1.0 - d / span for d in down])
 
 
 def simulate_mttf(p: ModelParams, c: SimConfig) -> Estimate:
     """Time to first entry into a failed state, repair disabled."""
-    events = state_events(p)
+    rng = _rng(c.seed, _TAG_MTTF)
+    races = [_outcomes(events, rng) for events in state_events(p)]
     values = []
     truncated = 0
-    for rep in range(c.replications):
-        rng = _rng(c.seed, _TAG_MTTF, rep)
+    for _ in range(c.replications):
         t = 0.0
         state = 0
         while state < 10:
-            dt, nxt = _step(events[state], rng)
+            dt, state = next(races[state])
             t += dt
-            state = nxt
             if t > GUARD_HORIZON:
                 truncated += 1
                 t = GUARD_HORIZON
@@ -210,37 +221,41 @@ def simulate_mttf(p: ModelParams, c: SimConfig) -> Estimate:
     return _estimate("mttf", values, truncated)
 
 
-def _attempt(case, rng):
-    """One execution attempt of a completion case: (completed?, elapsed wall clock)."""
-    h_pre = case.pre_fail.sample(rng)
-    if h_pre <= case.tau:
-        return False, h_pre
-    (m_reboot, reboot), (m_fix, fix), (m_rest, rest) = case.post
-    pick = rng.random() * (m_reboot + m_fix + m_rest)
-    law = reboot if pick < m_reboot else fix if pick < m_reboot + m_fix else rest
-    h_post = law.sample(rng)
-    if h_post <= case.delta:
-        return False, case.tau + h_post
-    return True, case.t0
+def _attempts(case, rng):
+    """Execution attempts of one completion case, POOL at a time: (completed?, hours).
+
+    A failed attempt's hours include the restart overhead and the fresh
+    aging onset that follow it.
+    """
+    bounds = np.cumsum([mass for mass, _ in case.post])  # reboot, fix, rest
+    while True:
+        pre = case.pre_fail.sample(rng, POOL)
+        # branch k where k of the first two cumulative masses lie at or below the pick
+        branch = np.searchsorted(bounds[:2], rng.random(POOL) * bounds[2], "right")
+        post = np.choose(branch, [law.sample(rng, POOL) for _, law in case.post])
+        restart = case.overhead.sample(rng, POOL) + case.aging.sample(rng, POOL)
+        failed_pre = pre <= case.tau
+        done = ~failed_pre & (post > case.delta)
+        hours = np.where(done, case.t0, np.where(failed_pre, pre, case.tau + post) + restart)
+        yield from zip(done.tolist(), hours.tolist())
 
 
 def simulate_completion(p: ModelParams, w: WorkloadSpec, c: SimConfig) -> Estimate:
     """Wall-clock completion time under preemptive-repeat restarts."""
-    primary, backup = completion_cases(p, w)
+    rng = _rng(c.seed, _TAG_COMPLETION)
+    primary, backup = (_attempts(case, rng) for case in completion_cases(p, w))
     values = []
     truncated = 0
-    for rep in range(c.replications):
-        rng = _rng(c.seed, _TAG_COMPLETION, rep)
-        case = primary if (w.b1 == 1.0 or rng.random() < w.b1) else backup
+    for _ in range(c.replications):
+        attempts = primary if (w.b1 == 1.0 or rng.random() < w.b1) else backup
         clock = 0.0
         while True:
-            done, elapsed = _attempt(case, rng)
-            clock += elapsed
+            done, hours = next(attempts)
+            clock += hours
             if done:
                 break
-            clock += case.overhead.sample(rng) + case.aging.sample(rng)
             if w.backup_restart_via_primary:
-                case = primary
+                attempts = primary
             if clock > GUARD_HORIZON:
                 truncated += 1
                 clock = GUARD_HORIZON
