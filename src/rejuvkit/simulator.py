@@ -2,20 +2,22 @@
 
 Independent cross-validation of the analytic metrics: each state is
 simulated as a race of competing events (one duration sampled per armed
-event, minimum wins).  A phase-type duration is one exponential draw per
-phase, summed (``Distribution.sample``).  Every entry races afresh (the
-Markov-renewal property at transition epochs), so a state's races are
-i.i.d. whatever path led there: they are drawn in numpy blocks of
-``POOL`` and each walk takes the next one on entry, which leaves the
-law of every walk unchanged; completion attempts are pooled likewise.
-Each estimate draws from one stream derived from (seed, metric), its
-replications in order: results are reproducible, and the first k
-replications are the same whatever the total.  Parameter sets,
-workloads and :class:`SimConfig` check themselves when they are built.
+event, minimum wins); a phase-type duration is one exponential draw per
+phase, summed.  Every entry to state 0 is a Markov-renewal epoch, so a
+replication is a run of i.i.d. segments: availability cycles (state 0 to
+its next entry), MTTF excursions (to that entry or a failed state), and
+completion walks over the cases until an attempt completes.  Segments
+are walked in numpy batches, in lockstep, with each state's races and
+each case's attempts drawn in blocks.  Each estimate draws from one
+stream keyed by (seed, metric, point), its batches in order: results are
+reproducible, and the first k replications are the same whatever the
+total.  Parameter sets, workloads and :class:`SimConfig` check
+themselves when they are built.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,8 +34,12 @@ __all__ = [
     "simulate_completion",
 ]
 
-GUARD_HORIZON = 1e9  # hours; a replication running past this is censored
+GUARD_HORIZON = 1e9  # hours; a replication reaching this is censored
 POOL = 1024  # races, or completion attempts, drawn per block
+FIRST_BATCH = 1024  # segments in a stream's first batch; each next batch doubles,
+MAX_BATCH = 8192  # up to this many
+_FAILED = 10  # states 10 and 11 are the failed ones
+_DONE = 2  # a completion walk's state once an attempt completes
 _TAG_AVAILABILITY = 1
 _TAG_MTTF = 2
 _TAG_COMPLETION = 3
@@ -70,8 +76,8 @@ class Estimate:
         return self.ci_low <= value <= self.ci_high
 
 
-def _rng(seed: int, tag: int) -> np.random.Generator:
-    entropy = np.random.SeedSequence((seed & 0xFFFFFFFFFFFFFFFF, tag))
+def _rng(seed: int, tag: int, point: int) -> np.random.Generator:
+    entropy = np.random.SeedSequence((seed & 0xFFFFFFFFFFFFFFFF, tag, point))
     return np.random.Generator(np.random.PCG64(entropy))
 
 
@@ -148,117 +154,150 @@ def _estimate(metric, values, truncated=0) -> Estimate:
 
 
 def _races(events, rng, n):
-    """n independent races of one state: (sojourns, next states) as lists.
+    """n independent races of one state: (sojourns, next states) as arrays.
 
     Events draw n durations each in priority order, then n arming draws
     if thinned; a strict ``<`` gives ties to the earlier event.  A race
     no armed event enters lasts forever and leads to state -1.
     """
     best = np.full(n, math.inf)
-    target = np.full(n, -1)
+    target = np.full(n, -1, np.int8)
     for ev in events:
         d = ev.dist.sample(rng, n)
         if ev.thin < 1.0:
             d[rng.random(n) >= ev.thin] = math.inf
-        won = d < best
-        best[won] = d[won]
-        target[won] = ev.target
-    return best.tolist(), target.tolist()
+        target[d < best] = ev.target
+        np.minimum(best, d, out=best)
+    return best, target
 
 
-def _outcomes(events, rng):
-    """The races of one state, one (sojourn, next state) per entry, drawn POOL at a time."""
-    while True:
-        yield from zip(*_races(events, rng, POOL))
+def _pooled(rng, draw, *args):
+    """``draw(*args, rng, count)``, a request below POOL served from a block of POOL;
+    a block's rest is dropped when a request outgrows it."""
+    block, used = (np.empty(0),), 0
+
+    def take(count):
+        nonlocal block, used
+        if count >= POOL:
+            return draw(*args, rng, count)
+        if used + count > block[0].size:
+            block, used = draw(*args, rng, POOL), 0
+        used += count
+        return [x[used - count : used] for x in block]
+
+    return take
 
 
-def _downtime(races, horizon, warmup) -> float:
-    """Hours spent in the failed states 10 and 11 between warmup and horizon."""
-    down = 0.0
-    t = 0.0
-    state = 0
-    while t < horizon:
-        dt, nxt = next(races[state])
-        if state >= 10:
-            overlap = min(t + dt, horizon) - max(t, warmup)
-            if overlap > 0.0:
-                down += overlap
-        t += dt  # inf, when every armed event declines, ends the run
-        state = nxt
-    return down
+def _walk(draws, state, stops, limit):
+    """Lockstep walks from ``state``, each until it enters ``stops`` or its hours reach limit.
+
+    Each step sorts the live walks by state and takes each state's steps in one
+    call, ``draws[k](count)`` -> (hours, next states).  Returns the hours (capped
+    at limit), the last states and each stay in a failed state as (walk, hours
+    at entry, duration).  An endless race (state -1) stops by the limit."""
+    hours, live = np.zeros(state.size), np.arange(state.size)
+    stays = [(live[:0], hours[:0], hours[:0])]
+    while live.size:
+        live = live[state[live].argsort(kind="stable")]
+        counts = np.bincount(state[live]).tolist()
+        dt, nxt = map(np.concatenate, zip(*(draws[k](m) for k, m in enumerate(counts) if m)))
+        if len(counts) > _FAILED:  # walks in failed states sort last
+            down = slice(sum(counts[:_FAILED]), None)
+            stays.append((live[down], hours[live[down]], dt[down]))
+        hours[live] += dt
+        state[live] = nxt
+        live = live[~stops[nxt] & (hours[live] < limit)]
+    return np.minimum(hours, limit), state, map(np.concatenate, zip(*stays))
 
 
-def simulate_availability(p: ModelParams, c: SimConfig) -> Estimate:
-    """Up-time fraction over the horizon, averaged across replications.
+def _runs(draws, n, stops, final, limit, start=None):
+    """The first n replications: their hours, capped at limit, and their stays.
 
-    Accumulates the (rare) downtime and returns its complement: exact
-    when no failure ever fires, and better conditioned in general.
-    """
-    rng = _rng(c.seed, _TAG_AVAILABILITY)
-    races = [_outcomes(events, rng) for events in state_events(p)]
-    span = c.horizon - c.warmup
-    down = [_downtime(races, c.horizon, c.warmup) for _ in range(c.replications)]
-    return _estimate("availability", [1.0 - d / span for d in down])
+    Segments are walks from state 0, or from ``start(size)``, in batches that double
+    from FIRST_BATCH to MAX_BATCH: the first k replications do not depend on n.  A
+    replication takes segments until one ends in a ``final`` state or its hours reach
+    limit.  Failed stays: (replication, start, duration), from a cumsum per batch."""
+    hours, stays = [], []
+    closed, carry = 0, 0.0  # replications closed; hours of the open one
+    for b in itertools.count():
+        size = min(FIRST_BATCH << b, MAX_BATCH)
+        state = np.zeros(size, np.int8) if start is None else start(size)
+        seg_hours, last, (seg, offset, duration) = _walk(draws, state, stops, limit)
+        # clock: each segment's start; segment 0 holds the open replication's hours
+        clock = np.concatenate(([0.0, carry], seg_hours)).cumsum()
+        ends = np.flatnonzero(np.append(False, final[last]))
+        tail = np.append(ends, size)  # the last segment of each run between final ones
+        base = clock[np.append(0, ends + 1)]
+        long, cuts = np.flatnonzero(clock[tail + 1] - base >= limit).tolist(), []
+        for g in long:  # close at each first segment ending at or past start + limit
+            while (k := int(clock.searchsorted(base[g] + limit))) <= tail[g] + 1:
+                cuts.append(k - 1)
+                base[g] = clock[k]
+        ends = np.array(sorted({*ends.tolist(), *cuts})) if cuts else ends
+        base = clock[np.append(0, ends + 1)]  # where each replication starts
+        hours.append(clock[ends + 1] - base[:-1])
+        rep = np.searchsorted(ends, seg + 1)
+        stays.append((closed + rep, clock[seg + 1] - base[rep] + offset, duration))
+        closed += ends.size
+        carry = clock[-1] - base[-1]
+        if closed >= n:
+            return np.minimum(np.concatenate(hours)[:n], limit), map(np.concatenate, zip(*stays))
 
 
-def simulate_mttf(p: ModelParams, c: SimConfig) -> Estimate:
-    """Time to first entry into a failed state, repair disabled."""
-    rng = _rng(c.seed, _TAG_MTTF)
-    races = [_outcomes(events, rng) for events in state_events(p)]
-    values = []
-    truncated = 0
-    for _ in range(c.replications):
-        t = 0.0
-        state = 0
-        while state < 10:
-            dt, state = next(races[state])
-            t += dt
-            if t > GUARD_HORIZON:
-                truncated += 1
-                t = GUARD_HORIZON
-                break
-        values.append(t)
-    return _estimate("mttf", values, truncated)
+def simulate_availability(p: ModelParams, c: SimConfig, point: int = 0) -> Estimate:
+    """Up-time fraction between warmup and horizon, averaged across replications.
+
+    A replication, a run of cycles from state 0 to its next entry, sums the
+    (rare) downtime and returns its complement: exact when no failure ever
+    fires, and better conditioned.  ``point`` selects the stream of a study's point."""
+    rng = _rng(c.seed, _TAG_AVAILABILITY, point)
+    draws = [_pooled(rng, _races, events) for events in state_events(p)]
+    states = np.arange(len(draws))
+    _, (rep, start, duration) = _runs(draws, c.replications, states == 0, states < 0, c.horizon)
+    overlap = np.minimum(start + duration, c.horizon) - np.maximum(start, c.warmup)
+    down = np.bincount(rep, np.maximum(overlap, 0.0), c.replications)[: c.replications]
+    return _estimate("availability", 1.0 - down / (c.horizon - c.warmup))
 
 
-def _attempts(case, rng):
-    """Execution attempts of one completion case, POOL at a time: (completed?, hours).
+def simulate_mttf(p: ModelParams, c: SimConfig, point: int = 0) -> Estimate:
+    """Time to first entry into a failed state, repair disabled: a run of
+    excursions, each from state 0 to its next entry or to a failed state."""
+    rng = _rng(c.seed, _TAG_MTTF, point)
+    draws = [_pooled(rng, _races, events) for events in state_events(p)]
+    states = np.arange(len(draws))
+    failed = states >= _FAILED
+    hours, _ = _runs(draws, c.replications, failed | (states == 0), failed, GUARD_HORIZON)
+    return _estimate("mttf", hours, int(np.count_nonzero(hours >= GUARD_HORIZON)))
+
+
+def _attempts(case, restart, rng, n):
+    """n attempts of one completion case: (hours, next states), ``_DONE`` or ``restart``.
 
     A failed attempt's hours include the restart overhead and the fresh
-    aging onset that follow it.
-    """
+    aging onset that follow it."""
     bounds = np.cumsum([mass for mass, _ in case.post])  # reboot, fix, rest
-    while True:
-        pre = case.pre_fail.sample(rng, POOL)
-        # branch k where k of the first two cumulative masses lie at or below the pick
-        branch = np.searchsorted(bounds[:2], rng.random(POOL) * bounds[2], "right")
-        post = np.choose(branch, [law.sample(rng, POOL) for _, law in case.post])
-        restart = case.overhead.sample(rng, POOL) + case.aging.sample(rng, POOL)
-        failed_pre = pre <= case.tau
-        done = ~failed_pre & (post > case.delta)
-        hours = np.where(done, case.t0, np.where(failed_pre, pre, case.tau + post) + restart)
-        yield from zip(done.tolist(), hours.tolist())
+    pre = case.pre_fail.sample(rng, n)
+    # branch k where k of the first two cumulative masses lie at or below the pick
+    branch = np.searchsorted(bounds[:2], rng.random(n) * bounds[2], "right")
+    post = np.choose(branch, [law.sample(rng, n) for _, law in case.post])
+    restart_hours = case.overhead.sample(rng, n) + case.aging.sample(rng, n)
+    failed_pre = pre <= case.tau
+    done = ~failed_pre & (post > case.delta)
+    hours = np.where(done, case.t0, np.where(failed_pre, pre, case.tau + post) + restart_hours)
+    return hours, np.where(done, _DONE, restart)
 
 
-def simulate_completion(p: ModelParams, w: WorkloadSpec, c: SimConfig) -> Estimate:
-    """Wall-clock completion time under preemptive-repeat restarts."""
-    rng = _rng(c.seed, _TAG_COMPLETION)
-    primary, backup = (_attempts(case, rng) for case in completion_cases(p, w))
-    values = []
-    truncated = 0
-    for _ in range(c.replications):
-        attempts = primary if (w.b1 == 1.0 or rng.random() < w.b1) else backup
-        clock = 0.0
-        while True:
-            done, hours = next(attempts)
-            clock += hours
-            if done:
-                break
-            if w.backup_restart_via_primary:
-                attempts = primary
-            if clock > GUARD_HORIZON:
-                truncated += 1
-                clock = GUARD_HORIZON
-                break
-        values.append(clock)
-    return _estimate("completion", values, truncated)
+def simulate_completion(p: ModelParams, w: WorkloadSpec, c: SimConfig, point: int = 0) -> Estimate:
+    """Wall-clock completion time under preemptive-repeat restarts: a walk
+    over the cases, 0 (primary) or 1 (backup, with probability b2) at the
+    start, until an attempt completes."""
+    rng = _rng(c.seed, _TAG_COMPLETION, point)
+    primary, backup = completion_cases(p, w)
+    draws = [_pooled(rng, _attempts, primary, 0),
+             _pooled(rng, _attempts, backup, 0 if w.backup_restart_via_primary else 1)]
+    done = np.arange(_DONE + 1) == _DONE
+    hours, _ = _runs(
+        draws, c.replications, done, done, GUARD_HORIZON,
+        lambda size: (rng.random(size) >= w.b1).astype(np.int8),
+    )
+    return _estimate("completion", hours, int(np.count_nonzero(hours >= GUARD_HORIZON)))

@@ -206,7 +206,8 @@ def run_simulate(cfg: RunConfig, sim: SimConfig, metrics=("availability", "mttf"
     """(CSV rows, agreement flags): analytic value vs simulation CI per metric.
 
     ``triggers`` optionally re-runs the comparison over a list of
-    trigger-interval values (one block of rows per value).
+    trigger-interval values (one block of rows per value).  Each value's
+    estimates draw from streams of their own, keyed by its index.
     """
     _check_metrics(metrics)
     points = [None] if triggers is None else list(triggers)
@@ -214,17 +215,17 @@ def run_simulate(cfg: RunConfig, sim: SimConfig, metrics=("availability", "mttf"
         raise ConfigError(f"triggers {points}: list one or more trigger intervals")
     rows = []
     agreement = []
-    for point in points:
+    for index, point in enumerate(points):
         at = cfg if point is None else apply_variable(cfg, "trigger_interval", point, "all")
         trigger = at.params.a1
         analytic = _evaluate(at, metrics)
         for m in metrics:
             if m == "availability":
-                est = simulate_availability(at.params, sim)
+                est = simulate_availability(at.params, sim, index)
             elif m == "mttf":
-                est = simulate_mttf(at.params, sim)
+                est = simulate_mttf(at.params, sim, index)
             else:
-                est = simulate_completion(at.params, at.workload, sim)
+                est = simulate_completion(at.params, at.workload, sim, index)
             rows.append(
                 ("trigger_interval", trigger, m, analytic[m], est.mean, est.ci_low, est.ci_high)
             )

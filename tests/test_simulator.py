@@ -17,7 +17,7 @@ from rejuvkit import (
     simulate_mttf,
     state_events,
 )
-from rejuvkit.analysis import metrics_report
+from rejuvkit.analysis import completion_cases, metrics_report
 from rejuvkit.config import load_config
 from rejuvkit.model import _Event, sojourn_times, transition_matrix
 from rejuvkit.toolkit import apply_variable
@@ -52,6 +52,23 @@ def test_no_failures_availability_is_one():
     p = make_params(failure=NEVER)
     est = simulate_availability(p, SimConfig(replications=5, seed=11, horizon=5e4))
     assert est.mean == 1.0 and est.ci_low == 1.0 and est.ci_high == 1.0
+
+
+def test_availability_clips_cycles_to_warmup_and_horizon():
+    # aging after exactly 4 h, failure 6 h later, repair in 2 h: 12 h
+    # cycles, each down over [10, 12).  Over [11, 95] a replication is down
+    # 1 + 6 x 2 + 1 = 14 h: both clips cut a stay.  8 replications, so the
+    # mean of equal values is exact.
+    p = make_params(
+        aging=Deterministic(4.0),
+        failure=Deterministic(6.0),
+        fixing=Deterministic(2.0),
+        trigger=1e5,
+        c=(1.0, 0.0, 0.0),
+    )
+    est = simulate_availability(p, SimConfig(replications=8, seed=5, horizon=95.0, warmup=11.0))
+    assert est.mean == 1.0 - 14.0 / 84.0
+    assert est.ci_low == est.ci_high == est.mean
 
 
 def test_degenerate_mttf_path():
@@ -101,7 +118,89 @@ def _step(events, rng):
 def _stepped(events, rng, n):
     """n scalar races, in the form ``sim._races`` returns them."""
     sojourns, targets = zip(*(_step(events, rng) for _ in range(n)))
-    return list(sojourns), list(targets)
+    return np.array(sojourns), np.array(targets)
+
+
+# --- the per-event walkers: oracles for the batched estimators ---------------
+
+
+def _outcomes(events, rng):
+    """The races of one state, one (sojourn, next state) per entry, drawn 1,024 at a time."""
+    while True:
+        yield from zip(*(x.tolist() for x in sim._races(events, rng, 1024)))
+
+
+def _downtime(races, horizon, warmup):
+    """Hours spent in the failed states 10 and 11 between warmup and horizon."""
+    down = 0.0
+    t = 0.0
+    state = 0
+    while t < horizon:
+        dt, nxt = next(races[state])
+        if state >= 10:
+            overlap = min(t + dt, horizon) - max(t, warmup)
+            if overlap > 0.0:
+                down += overlap
+        t += dt  # inf, when every armed event declines, ends the run
+        state = nxt
+    return down
+
+
+def scalar_availability(p, c):
+    rng = sim._rng(c.seed, sim._TAG_AVAILABILITY, 0)
+    races = [_outcomes(events, rng) for events in state_events(p)]
+    span = c.horizon - c.warmup
+    down = [_downtime(races, c.horizon, c.warmup) for _ in range(c.replications)]
+    return sim._estimate("availability", [1.0 - d / span for d in down])
+
+
+def scalar_mttf(p, c):
+    rng = sim._rng(c.seed, sim._TAG_MTTF, 0)
+    races = [_outcomes(events, rng) for events in state_events(p)]
+    values = []
+    truncated = 0
+    for _ in range(c.replications):
+        t = 0.0
+        state = 0
+        while state < 10:
+            dt, state = next(races[state])
+            t += dt
+            if t > sim.GUARD_HORIZON:
+                truncated += 1
+                t = sim.GUARD_HORIZON
+                break
+        values.append(t)
+    return sim._estimate("mttf", values, truncated)
+
+
+def _attempts(case, rng):
+    """Attempts of one completion case, 1,024 drawn at a time: (completed?, hours)."""
+    while True:
+        hours, nxt = sim._attempts(case, 0, rng, 1024)
+        yield from zip((nxt == sim._DONE).tolist(), hours.tolist())
+
+
+def scalar_completion(p, w, c):
+    rng = sim._rng(c.seed, sim._TAG_COMPLETION, 0)
+    primary, backup = (_attempts(case, rng) for case in completion_cases(p, w))
+    values = []
+    truncated = 0
+    for _ in range(c.replications):
+        attempts = primary if (w.b1 == 1.0 or rng.random() < w.b1) else backup
+        clock = 0.0
+        while True:
+            done, hours = next(attempts)
+            clock += hours
+            if done:
+                break
+            if w.backup_restart_via_primary:
+                attempts = primary
+            if clock > sim.GUARD_HORIZON:
+                truncated += 1
+                clock = sim.GUARD_HORIZON
+                break
+        values.append(clock)
+    return sim._estimate("completion", values, truncated)
 
 
 def _race_points():
@@ -136,20 +235,59 @@ def test_races_match_the_analytic_rows(point, draw, n):
 def test_race_ties_go_to_the_earlier_event(draw):
     events = [_Event(Deterministic(5.0), 1.0, 3), _Event(Deterministic(5.0), 1.0, 7)]
     sojourns, targets = draw(events, np.random.default_rng(1), 100)
-    assert sojourns == [5.0] * 100 and targets == [3] * 100
+    assert np.array_equal(sojourns, [5.0] * 100) and np.array_equal(targets, [3] * 100)
+
+
+@pytest.mark.parametrize(
+    "name, trigger",
+    [("preset_f_hypo", 0.0), ("preset_f_hypo", 27.0), ("preset_a_hypo_f_hypo_erl", None)],
+)
+def test_batched_estimates_match_the_per_event_walkers(name, trigger):
+    # independent streams: the batched walker at seed 3, the per-event
+    # walkers at seed 4; each metric's two means lie within 4 combined
+    # standard errors
+    cfg = load_config(name)
+    if trigger is not None:
+        cfg = apply_variable(cfg, "trigger_interval", trigger)
+    p, w = cfg.params, cfg.workload
+    long_run = dict(horizon=5e4, warmup=5e3)
+    pairs = [
+        (
+            simulate_availability(p, SimConfig(400, 3, **long_run)),
+            scalar_availability(p, SimConfig(400, 4, **long_run)),
+        ),
+        (simulate_mttf(p, SimConfig(2000, 3)), scalar_mttf(p, SimConfig(2000, 4))),
+        (
+            simulate_completion(p, w, SimConfig(4000, 3)),
+            scalar_completion(p, w, SimConfig(4000, 4)),
+        ),
+    ]
+    for pair in pairs:
+        se = [(e.ci_high - e.ci_low) / (2.0 * sim._t975(e.replications - 1)) for e in pair]
+        assert abs(pair[0].mean - pair[1].mean) < 4.0 * math.hypot(*se), pair
 
 
 def test_replications_are_a_stable_prefix(monkeypatch):
-    # one stream per estimate, used in order: more replications only
-    # append values, across pool refills too
+    # one stream per estimate, its segment batches drawn in order: more
+    # replications only append values, and each long case spans batches
     seen = []
-    monkeypatch.setattr(sim, "_estimate", lambda metric, values, truncated=0: seen.append(values))
+    batches = []
+    walk = sim._walk
+    monkeypatch.setattr(
+        sim, "_estimate", lambda metric, values, truncated=0: seen.append(list(values))
+    )
+    monkeypatch.setattr(sim, "_walk", lambda *args: batches.append(1) or walk(*args))
     p = make_params()
     w = WorkloadSpec(x=590.6201, r1=0.566316)
     for short in (True, False):
-        simulate_availability(p, SimConfig(5 if short else 300, seed=4, horizon=2e4))
-        simulate_mttf(p, SimConfig(5 if short else 3000, seed=4))
-        simulate_completion(p, w, SimConfig(5 if short else 3000, seed=4))
+        for run, many in (
+            (lambda n: simulate_availability(p, SimConfig(n, seed=4, horizon=2e4)), 300),
+            (lambda n: simulate_mttf(p, SimConfig(n, seed=4)), 3000),
+            (lambda n: simulate_completion(p, w, SimConfig(n, seed=4)), 3000),
+        ):
+            batches.clear()
+            run(5 if short else many)
+            assert len(batches) == 1 if short else len(batches) >= 2
     for few, many in zip(seen[:3], seen[3:]):
         assert len(few) == 5 and many[:5] == few
 
@@ -217,10 +355,10 @@ def test_availability_start_transient_is_visible():
 def simulate_occupancy(p, c, tag=4):
     """Per-state occupancy fractions: (means, standard errors), length 12.
 
-    Walks the pooled races of the availability simulator, on its own
-    stream, but keeps the time spent in every state."""
-    rng = sim._rng(c.seed, tag)
-    races = [sim._outcomes(events, rng) for events in state_events(p)]
+    The per-event availability walker, on its own stream, keeping the
+    time spent in every state."""
+    rng = sim._rng(c.seed, tag, 0)
+    races = [_outcomes(events, rng) for events in state_events(p)]
     rows = np.zeros((c.replications, len(races)))
     for row in rows:
         t = 0.0
