@@ -36,7 +36,9 @@ ROOT = Path(__file__).resolve().parent.parent
 REPEAT = 5
 PROCESS_RUNS = 11
 SWEEP_CONFIG = "preset_f_hypo"  # the paper's trigger study, as in perfbench
-SIM_REPS = {"availability": 100, "mttf": 1000, "completion": 1000}
+# perfbench's MC_REPS: the simulator walks replications in batches, so a
+# thousand or so of them would time mostly the first batch's set-up
+SIM_REPS = {"availability": 2000, "mttf": 20000, "completion": 40000}
 METRICS = ("availability", "mttf", "completion")
 SWEEP_ARGS = ["--var", "trigger_interval", "--from", "0", "--to", "50", "--step", "1",
               "--metrics", ",".join(METRICS)]

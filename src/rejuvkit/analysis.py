@@ -33,8 +33,10 @@ before the trigger follow the idle-phase failure law; at the trigger
 epoch tau the survivors S_pre(tau) split, independently of that law, in
 proportion c2 F_reboot(tau) : c3 F_fix(tau) : rest over three branches
 (backup rebooted / fixed in time / everything else), each with its own
-post-trigger failure law.  A failure at epoch ``h`` discards all
-work: the clock accrues ``h`` plus a restart overhead plus a fresh
+post-trigger failure law.  This reads the c's as shares, not as the
+independent arming of the kernel (:mod:`rejuvkit.model`); which reading
+completion should take is open (ROADMAP).  A failure at ``h`` discards
+all work: the clock accrues ``h`` plus a restart overhead plus a fresh
 aging-onset wait, and the whole execution repeats.  This makes the LST
 linear in itself, solved here in closed form per evaluation point.
 """

@@ -7,13 +7,13 @@ service runs on whichever side is not idle.  States 10 and 11 (an OS has
 failed while hosting the service) are the only unavailable ones.
 
 Dynamics: the service runs on the healthy primary (state 0) until aging
-is detected (state 8).  At detection the backup is healthy with
-probability ``c1`` (migration is then scheduled after the trigger delay
-``a1``), aging with ``c2`` (its reboot must complete first; state 3
-follows), or failed with ``c3`` (its fixing must complete first; state 6
-follows).  Failure of the aging primary preempts all of that (state 10).
-After a successful migration (state 2) the roles swap and the mirrored
-states 7, 1, 5, 4, 9, 11 apply with triggers ``a4``..``a6``.
+is detected (state 8).  Detection arms three events on independent
+draws: the trigger ``a1`` with probability ``c1`` (state 2 follows), the
+backup's reboot with ``c2`` (state 3) and its fixing with ``c3`` (state
+6).  The first armed event to fire wins; with probability
+(1 - c1)(1 - c2)(1 - c3) none is armed.  Failure of the aging primary
+preempts them all (state 10).  After a migration the roles swap, and
+the mirrored states 7, 1, 5, 4, 9, 11 apply with triggers ``a4``..``a6``.
 
 Each state is a race of independent competing events; branch-conditioned
 events are "thinned": with probability ``c`` they fire after their law's

@@ -20,8 +20,8 @@ import numpy as np
 from . import ctmc
 from .analysis import CompletionNotApplicable, completion_lsts, completion_time, metrics_report
 from .config import ConfigError, RunConfig
-from .distributions import Distribution, Exponential
-from .model import TRIGGER_SIDES, TRIGGERS
+from .distributions import Exponential
+from .model import TRIGGER_SIDES, TRIGGERS, _trigger
 from .simulator import SimConfig, simulate_availability, simulate_completion, simulate_mttf
 
 __all__ = [
@@ -120,10 +120,15 @@ def _evaluate(cfg: RunConfig, metrics) -> dict:
     return {m: values[m] for m in metrics}
 
 
+def _trigger_value(params) -> float:
+    """A run's ``value`` column: a1 in hours, or nan when a1 is a law."""
+    return params.a1 if isinstance(params.a1, (int, float)) else float("nan")
+
+
 def run_analyze(cfg: RunConfig):
     """(MetricsReport, CSV rows) for a single configuration."""
     report = metrics_report(cfg.params, cfg.workload)
-    trigger = cfg.params.a1 if isinstance(cfg.params.a1, (int, float)) else float("nan")
+    trigger = _trigger_value(cfg.params)
     rows = [
         ("trigger_interval", trigger, "availability", report.availability, "", "", ""),
         ("trigger_interval", trigger, "mttf", report.mttf, "", "", ""),
@@ -217,7 +222,7 @@ def run_simulate(cfg: RunConfig, sim: SimConfig, metrics=("availability", "mttf"
     agreement = []
     for index, point in enumerate(points):
         at = cfg if point is None else apply_variable(cfg, "trigger_interval", point, "all")
-        trigger = at.params.a1
+        trigger = _trigger_value(at.params)
         analytic = _evaluate(at, metrics)
         for m in metrics:
             if m == "availability":
@@ -288,8 +293,7 @@ def run_validate(cfg: RunConfig):
     # degenerate branches and exponential stand-ins of the triggers' means
     # (a trigger may be a law) make the chain an exact CTMC when its
     # remaining laws are exponential; compares the two engines
-    means = {k: getattr(cfg.params, k) for k in TRIGGERS}
-    means = {k: a.mean() if isinstance(a, Distribution) else float(a) for k, a in means.items()}
+    means = {k: _trigger(getattr(cfg.params, k)).mean() for k in TRIGGERS}
     try:
         oracle = replace(
             cfg.params,

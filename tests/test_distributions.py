@@ -219,14 +219,20 @@ def test_deterministic_sampling(rng):
     ids=["exp", "hypoexp", "erlang2", "erlang6"],
 )
 def test_scalar_draw_is_the_in_order_sum_of_phase_draws(d, rates):
-    # the simulator's streams rest on this: one scalar exponential draw
-    # per phase, rate1 before rate2, summed left to right
+    # the simulator's streams rest on this: one exponential draw (or one
+    # block of them, as the simulator draws) per phase, rate1 before
+    # rate2, summed left to right
     for seed in range(20):
         rng = np.random.default_rng(seed)
         expected = 0.0
         for r in rates:
             expected += rng.exponential(1.0 / r)
         assert d.sample(np.random.default_rng(seed)) == expected
+        rng = np.random.default_rng(seed)
+        block = 0.0
+        for r in rates:
+            block += rng.exponential(1.0 / r, 1024)
+        assert np.array_equal(d.sample(np.random.default_rng(seed), 1024), block)
 
 
 def test_exponential_sample_mean(rng):

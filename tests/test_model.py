@@ -112,6 +112,44 @@ def test_trigger_limits_in_aging_state():
     assert P[8, 2] <= 1e-12
 
 
+@pytest.mark.parametrize("trigger", [5.0, 30.0, 200.0])
+@pytest.mark.parametrize(
+    "failure",
+    [Exponential(0.0010432), Hypoexponential(0.0013674, 0.0043860)],
+    ids=["exp", "hypoexp"],
+)
+@pytest.mark.parametrize(
+    "c", [(0.6, 0.2, 0.2), (0.2, 0.5, 0.3), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
+)
+def test_trigger_entry_is_the_thinned_race_at_the_trigger(trigger, failure, c):
+    # the trigger is the row's only point mass, so its entry is direct:
+    # armed with c1, it fires at the trigger if the failure has not come
+    # and neither the armed reboot (c2) nor the armed fixing (c3) is done
+    p = make_params(
+        trigger=trigger,
+        c=c,
+        failure=failure,
+        fail_idle_backup=failure.scaled(1.5),
+        reboot_primary=Exponential(0.5),
+        reboot_backup=Exponential(0.2),
+        fixing_primary=Exponential(0.02),
+        fixing_backup=Exponential(0.04),
+    )
+    P = transition_matrix(p)
+    c1, c2, c3 = c
+    for got, fail, reboot, fixing in (
+        (P[8, 2], p.fail_idle_primary, p.reboot_backup, p.fixing_backup),
+        (P[1, 9], p.fail_idle_backup, p.reboot_primary, p.fixing_primary),
+    ):
+        want = (
+            c1
+            * fail.survival(trigger)
+            * (1.0 - c2 * reboot.cdf(trigger))
+            * (1.0 - c3 * fixing.cdf(trigger))
+        )
+        assert abs(got - want) <= 1e-12 * want
+
+
 def test_failure_mass_monotone_in_trigger():
     last = -1.0
     for trigger in (0.0, 5.0, 15.0, 40.0, 80.0, 200.0):

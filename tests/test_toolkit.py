@@ -456,6 +456,18 @@ def test_run_analyze_rows():
     assert csv_text.splitlines()[0] == ",".join(CSV_HEADER)
 
 
+def test_law_valued_a1_writes_nan_in_the_value_column():
+    cfg = load_config("preset_exponential")
+    # no workload: the completion analysis needs a plain a1
+    cfg = replace(cfg, params=replace(cfg.params, a1=Exponential(1.0 / 30.0)), workload=None)
+    _, rows = run_analyze(cfg)
+    sim = SimConfig(replications=20, seed=3, horizon=1e4)
+    sim_rows, agreement = run_simulate(cfg, sim, ("availability", "mttf"))
+    values = [r[1] for r in rows + sim_rows] + [e["trigger"] for e in agreement]
+    assert len(values) == 6 and all(math.isnan(v) for v in values)
+    assert all(line.split(",")[1] == "nan" for line in rows_to_csv(rows + sim_rows).splitlines()[1:])
+
+
 def test_run_simulate_agreement_and_determinism():
     cfg = f_hypo_config()
     sim = SimConfig(replications=40, seed=4242, horizon=4e4, warmup=1e3)
