@@ -11,7 +11,10 @@ each run, as a fresh process meets them.  ``import`` and the
 ``cli_<subcommand>`` runs are fresh interpreters, reported as the median
 and quartiles of ``PROCESS_RUNS`` runs: a best-of-few minimum cannot
 separate two trees on a shared host.  With ``--baseline`` they are timed
-on that checkout's ``src/`` too, in pairs whose order alternates.
+on that checkout's ``src/`` too, in pairs whose order alternates, and the
+in-process layers of both trees are timed in fresh interpreters, in
+alternating rounds, each key the best over its rounds; the baseline's go
+under ``baseline_layers``.
 ``pytest_wall`` is one run of the suite.  BLAS is pinned to one thread,
 as in ``perfbench``.
 """
@@ -63,8 +66,9 @@ def layers():
     from rejuvkit import analysis, config, model, numerics, simulator, toolkit
 
     def cold():
-        for memo in (numerics._term_solution, numerics._track, numerics.phase_window):
-            memo.cache_clear()
+        for memo in vars(numerics).values():
+            if hasattr(memo, "cache_clear"):
+                memo.cache_clear()
 
     names = config.bundled_config_names()
     cfgs = {name: config.load_config(name) for name in names}
@@ -104,6 +108,22 @@ def layers():
         spec = toolkit.SweepSpec("trigger_interval", 0.0, 50.0, 1.0, METRICS, refine=refine)
         out[key] = round(best(lambda: toolkit.run_sweep(sweep_cfg, spec), cold), 4)
     return out
+
+
+LAYER_ROUNDS = 2  # alternating rounds per tree when a baseline is timed too
+
+
+def side_layers(src):
+    """:func:`layers` of the tree at ``src``, timed by a fresh interpreter."""
+    cmd = [sys.executable, __file__, "--layers-of", str(src)]
+    return json.loads(subprocess.run(cmd, check=True, capture_output=True, text=True).stdout)
+
+
+def best_of(runs):
+    """Key-wise minimum of nested dicts of timings."""
+    if isinstance(runs[0], dict):
+        return {key: best_of([run[key] for run in runs]) for key in runs[0]}
+    return min(runs)
 
 
 def fresh(src, args, cwd):
@@ -162,21 +182,42 @@ def machine():
         "repeat": REPEAT,
         "process_runs": PROCESS_RUNS,
         "note": "in-process layers: best of `repeat`, with the numerics memos cleared "
-        "before each run; `sojourn` and `kernel` time the same kernel build; import and "
-        "cli_*: median and quartiles of `process_runs` fresh processes per side",
+        "before each run; `sojourn` and `kernel` time the same kernel build; with a "
+        "baseline, each tree's layers are the best of `layer_rounds` alternating fresh "
+        "interpreters; import and cli_*: median and quartiles of `process_runs` fresh "
+        "processes per side",
+        "layer_rounds": LAYER_ROUNDS,
     }
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--baseline", help="another checkout: import and cli_* timed there too")
+    parser.add_argument("--out", help="JSON file to write")
+    parser.add_argument(
+        "--baseline", help="another checkout: import, cli_* and the layers timed there too"
+    )
+    parser.add_argument("--layers-of", help=argparse.SUPPRESS)  # a src/ tree: print its layers
     args = parser.parse_args(argv)
+    if args.layers_of:
+        sys.path.insert(0, args.layers_of)
+        print(json.dumps(layers()))
+        return 0
+    if not args.out:
+        parser.error("--out is required")
     sys.path.insert(0, str(ROOT / "src"))
 
     report = {"machine": machine(), "units": UNITS}
     report.update(processes(args.baseline))
-    report.update(layers())
+    if args.baseline is None:
+        report.update(layers())
+    else:
+        trees = [ROOT / "src", Path(args.baseline).resolve() / "src"]
+        rounds = [[], []]
+        for run in range(LAYER_ROUNDS):
+            for side in (0, 1)[:: -1 if run % 2 else 1]:
+                rounds[side].append(side_layers(trees[side]))
+        report.update(best_of(rounds[0]))
+        report["baseline_layers"] = best_of(rounds[1])
     start = time.perf_counter()
     subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
                    cwd=ROOT, check=True, stdout=subprocess.DEVNULL)

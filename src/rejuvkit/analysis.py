@@ -1,21 +1,25 @@
 """Analytic metrics: steady-state availability, MTTF, mean completion time.
 
-:func:`metrics_report` is the one assembly of the model: it builds the
-kernel and sojourn times once, weights the embedded chain's stationary
-vector (on the closed set of states that state 0 reaches) by the sojourn
-times for availability, and solves the expected visit counts of the
-absorbing (no-repair) variant for MTTF, which is infinite when no
-failure state is reachable.  :func:`availability` and :func:`mttf` are
-views of it; :func:`mttf` raises on an infinite MTTF.
+One batched assembly serves a sweep's whole grid: it builds the kernels
+and sojourn times of all the points at once, weights each embedded
+chain's stationary vector (on the closed set of states that state 0
+reaches) by the sojourn times for availability, and solves the expected
+visit counts of the absorbing (no-repair) variant for MTTF, which is
+infinite when no failure state is reachable; the chain solves of the
+points that share a live set are one stacked solve.
+:func:`metrics_report` is its view of one point, and :func:`availability`
+and :func:`mttf` are views of that; :func:`mttf` raises on an infinite
+MTTF.  The report resolves completion only where it applies.
 
 Completion time solves the pair of Laplace-Stieltjes fixed-point
 equations for the two failure-attribution cases and extracts the mean
-as minus the derivative at zero.  :func:`completion_cases` resolves the
-two cases once per call; the transforms, both derivative routes and the
-simulator all read them.  One pass over a case gives its completion and
-restart masses A(s), B(s) and their derivatives; the pair is lower
-triangular and is back-substituted, so one solve gives both transforms
-and both derivatives.  The windowed transforms and moments of the
+as minus the derivative at zero.  The cases are resolved once per call,
+with the windows of all the points of a batch evaluated together; the
+transforms, both derivative routes and the simulator all read them.
+One pass over a case gives its completion and restart masses A(s),
+B(s) and their derivatives; the pair is lower triangular and is
+back-substituted, so one solve gives both transforms and both
+derivatives.  The windowed transforms and moments of the
 failure laws are exact: a point mass counts when its offset lies in the
 window, and a phase-type law takes one block matrix exponential
 (:func:`numerics.phase_window`, which memoises them).  The default route
@@ -140,29 +144,64 @@ class MetricsReport:
 
 
 def metrics_report(p: ModelParams, w: WorkloadSpec | None = None) -> MetricsReport:
-    """All analytic metrics from one model build."""
-    P, h = _kernel(p)
+    """All analytic metrics from one model build; the completion time is
+    None without a workload, or when the trigger delay a1 is a law."""
+    return _reports([p], [w])[0]
+
+
+def _reports(ps, ws=None) -> list[MetricsReport]:
+    """:func:`metrics_report` of each parameter set in ``ps`` (with the
+    workloads ``ws``), from one batched model build: the chain solves of
+    the points that share a live set are one stacked solve."""
+    P, h = _kernel(ps)
     # a transition too rare to represent (0.0) can split off a closed class
     # that state 0 never visits; the closed set that state 0 reaches gets all mass
     reach = reachability(P)
-    live = np.ix_(reach[0], reach[0])
-    v = np.zeros(len(P))
-    v[reach[0]] = _stationary(P[live], reach[live])
+    v = np.zeros(h.shape)
+    groups = {}
+    for n, live in enumerate(reach[:, 0]):
+        groups.setdefault(live.tobytes(), (live, []))[1].append(n)
+    for live, points in groups.values():
+        at, states = np.array(points)[:, None], np.flatnonzero(live)
+        block = (at[:, :, None], states[:, None], states)
+        v[at, states] = _stationary(P[block], reach[block])
     weighted = v * h
-    pi = weighted / weighted.sum()
-    avail = float(1.0 - pi[10] - pi[11])
+    pi = weighted / weighted.sum(axis=-1, keepdims=True)
+    avail = 1.0 - pi[:, 10] - pi[:, 11]
 
     # no-repair variant: the failed states absorb, execution starts in 0
     alpha = np.zeros(10)
     alpha[0] = 1.0
-    try:
-        V = absorbing_visits(P[:10, :10], alpha)
-    except AbsorptionUnreachable:  # no failure state is reachable
-        V = None
-    life = math.inf if V is None else float(V @ h[:10])
+    visits = _visits(P[:, :10, :10], alpha)
 
-    completed = completion_time(p, w) if w is not None else None
-    return MetricsReport(avail, life, completed, pi, V, P, h, v)
+    # completion applies where there is a workload and a1 is a plain delay
+    ws = ws or [None] * len(ps)
+    applies = [
+        n for n, (p, w) in enumerate(zip(ps, ws))
+        if w is not None and not isinstance(p.a1, Distribution)
+    ]
+    completed = dict.fromkeys(range(len(ps)))
+    if applies:
+        means = _completion_times([ps[n] for n in applies], [ws[n] for n in applies])
+        completed.update(zip(applies, means))
+    return [
+        MetricsReport(
+            float(avail[n]), math.inf if V is None else float(V @ h[n, :10]), completed[n],
+            pi[n], V, P[n], h[n], v[n],
+        )
+        for n, V in enumerate(visits)
+    ]
+
+
+def _visits(M, alpha) -> list:
+    """:func:`absorbing_visits` of each matrix in the stack ``M``, from one
+    stacked solve; None where no failure state is reachable."""
+    try:
+        return list(absorbing_visits(M, alpha))
+    except AbsorptionUnreachable:  # some point's I - M is singular: solve each alone
+        if len(M) == 1:
+            return [None]
+        return [V for m in M for V in _visits(m[None], alpha)]
 
 
 def availability(p: ModelParams) -> float:
@@ -206,6 +245,27 @@ def completion_cases(p: ModelParams, w: WorkloadSpec) -> tuple[_Case, _Case]:
     reboot or fix by the trigger epoch is independent of the primary's
     pre-trigger failure.  Each case must conserve mass, A(0) + B(0) = 1.
     """
+    return _resolve([p], [w])[0][0]
+
+
+def _resolve(ps, ws):
+    """((primary, backup), their (A, B, A', B') at s = 0) for each (p, w)
+    pair: :func:`completion_cases`, with the windows of every point's cases
+    evaluated together."""
+    cases = [_cases(p, w) for p, w in zip(ps, ws)]
+    flat = [case for pair in cases for case in pair]
+    ab = _ab(flat, 0.0)
+    for case, (A, B, _, _) in zip(flat, ab):
+        if abs(A + B - 1.0) > _CONSERVATION_TOL:
+            raise ModelConsistencyError(
+                f"completion masses A(0) + B(0) = {A + B!r} must equal 1 "
+                f"(trigger epoch {case.tau:.6g} h)"
+            )
+    return list(zip(cases, zip(ab[::2], ab[1::2])))
+
+
+def _cases(p: ModelParams, w: WorkloadSpec) -> tuple[_Case, _Case]:
+    """The (primary, backup) cases of ``w`` under ``p``, unchecked."""
     x1 = w.x / 2.0 if w.x1 is None else w.x1
     if w.t1 is None:
         if isinstance(p.a4, Distribution):
@@ -230,14 +290,7 @@ def completion_cases(p: ModelParams, w: WorkloadSpec) -> tuple[_Case, _Case]:
         rest = p.c1 + p.c2 * gate_reboot.survival(tau) + p.c3 * gate_fix.survival(tau)
         shares = (p.c2 * gate_reboot.cdf(tau), p.c3 * gate_fix.cdf(tau), rest)
         post = tuple((scale * share, law) for share, law in zip(shares, laws))
-        case = _Case(tau, rem_work / w.r2, aging, pre_fail, post, overhead)
-        A, B, _, _ = _ab(case, 0.0)
-        if abs(A + B - 1.0) > _CONSERVATION_TOL:
-            raise ModelConsistencyError(
-                f"completion masses A(0) + B(0) = {A + B!r} must equal 1 "
-                f"(trigger epoch {tau:.6g} h)"
-            )
-        return case
+        return _Case(tau, rem_work / w.r2, aging, pre_fail, post, overhead)
 
     primary = build(
         a1,
@@ -262,44 +315,67 @@ def completion_cases(p: ModelParams, w: WorkloadSpec) -> tuple[_Case, _Case]:
     return primary, backup
 
 
-def _window(d: Distribution, s: float, hi: float) -> tuple[float, float]:
-    """Integrals of exp(-s h) dF(h) and h exp(-s h) dF(h) over [0, hi].
+def _windows(requests, s: float) -> list:
+    """Integrals of exp(-s h) dF(h) and h exp(-s h) dF(h) over [0, hi], for
+    each ``(law, hi)`` request.
 
-    A point mass counts when its offset lies in (0, hi] or is 0."""
-    if isinstance(d, Deterministic):
-        lst = math.exp(-s * d.offset) if d.offset <= hi else 0.0
-        return lst, d.offset * lst
-    return phase_window(d, s, hi)
+    A point mass counts when its offset lies in (0, hi] or is 0.  Each
+    phase-type law takes one :func:`numerics.phase_window` call, stacked
+    over its distinct window lengths."""
+    asked = {}
+    for i, (d, hi) in enumerate(requests):
+        asked.setdefault(d, {}).setdefault(hi, []).append(i)
+    out = [None] * len(requests)
+    for d, lengths in asked.items():
+        if isinstance(d, Deterministic):
+            lsts = [math.exp(-s * d.offset) if d.offset <= hi else 0.0 for hi in lengths]
+            found = [(lst, d.offset * lst) for lst in lsts]
+        else:
+            found = phase_window(d, s, tuple(lengths))
+        for where, value in zip(lengths.values(), found):
+            for i in where:
+                out[i] = value
+    return out
 
 
-def _ab(case: _Case, s: float):
-    """(A, B, A', B') of one case at s: completion and restart masses and
-    their derivatives in s.
+def _ab(cases, s: float) -> list:
+    """(A, B, A', B') of each case at s: completion and restart masses and
+    their derivatives in s; the windows of all the cases are evaluated
+    together.
 
     A = e^{-s T0} sum m S(delta) and B = G(s) J(s), with G the overhead and
     aging transforms and J the windowed failure transforms; from a window's
     (transform W, moment M), J' = -M_pre - e^{-s tau} sum m (tau W + M).
     """
-    surv = sum(m * law.survival(case.delta) for m, law in case.post)
-    A = math.exp(-s * case.t0) * surv
-    J, moment = _window(case.pre_fail, s, case.tau)
-    post = [(m, *_window(law, s, case.delta)) for m, law in case.post]
-    lag = math.exp(-s * case.tau)
-    J += lag * sum(m * W for m, W, _ in post)
-    dJ = -moment - lag * sum(m * (case.tau * W + M) for m, W, M in post)
-    g1, g2 = case.overhead.lst(s), case.aging.lst(s)
-    dG = case.overhead.lst_derivative(s) * g2 + g1 * case.aging.lst_derivative(s)
-    return A, g1 * g2 * J, -case.t0 * A, dG * J + g1 * g2 * dJ
+    requests = []
+    for case in cases:
+        requests.append((case.pre_fail, case.tau))
+        requests.extend((law, case.delta) for _, law in case.post)
+    found = iter(_windows(requests, s))
+    out = []
+    for case in cases:
+        surv = sum(m * law.survival(case.delta) for m, law in case.post)
+        A = math.exp(-s * case.t0) * surv
+        J, moment = next(found)
+        post = [(m, *next(found)) for m, _ in case.post]
+        lag = math.exp(-s * case.tau)
+        J += lag * sum(m * W for m, W, _ in post)
+        dJ = -moment - lag * sum(m * (case.tau * W + M) for m, W, M in post)
+        g1, g2 = case.overhead.lst(s), case.aging.lst(s)
+        dG = case.overhead.lst_derivative(s) * g2 + g1 * case.aging.lst_derivative(s)
+        out.append((A, g1 * g2 * J, -case.t0 * A, dG * J + g1 * g2 * dJ))
+    return out
 
 
-def _pair(cases, w: WorkloadSpec, s: float):
-    """((phi1, phi2), (phi1', phi2')) of the two case transforms at s.
+def _pair(ab, w: WorkloadSpec, s: float):
+    """((phi1, phi2), (phi1', phi2')) of the two case transforms at s, from
+    the cases' (A, B, A', B') ``ab`` at s.
 
     The pair is lower triangular: phi1 = A1 / (1 - B1), and the backup
     case is A2 + B2 phi1 or, restarting into itself, A2 / (1 - B2).  At
     s = 0, A stands for 1 - B (conservation), which cancels as B(0) nears 1.
     """
-    (A1, B1, dA1, dB1), (A2, B2, dA2, dB2) = (_ab(case, s) for case in cases)
+    (A1, B1, dA1, dB1), (A2, B2, dA2, dB2) = ab
     gap1, gap2 = (A1, A2) if s == 0.0 else (1.0 - B1, 1.0 - B2)
     if gap1 <= 0.0 or (not w.backup_restart_via_primary and gap2 <= 0.0):
         raise CompletionDivergenceError(
@@ -316,7 +392,8 @@ def _pair(cases, w: WorkloadSpec, s: float):
 
 def completion_lsts(p: ModelParams, w: WorkloadSpec, s: float) -> tuple[float, float]:
     """Transforms of the (primary, backup) completion times at s >= 0."""
-    return _pair(completion_cases(p, w), w, s)[0]
+    cases, ab = _resolve([p], [w])[0]
+    return _pair(ab if s == 0.0 else _ab(cases, s), w, s)[0]
 
 
 def completion_lst_primary(p: ModelParams, w: WorkloadSpec, s: float) -> float:
@@ -331,7 +408,7 @@ def completion_lst_backup(p: ModelParams, w: WorkloadSpec, s: float) -> float:
 
 def _mean_richardson(cases, w: WorkloadSpec):
     def phi(s):
-        return np.array(_pair(cases, w, s)[0])
+        return np.array(_pair(_ab(cases, s), w, s)[0])
 
     def central(h):
         return (-phi(2 * h) + 8.0 * phi(h) - 8.0 * phi(-h) + phi(-2 * h)) / (12.0 * h)
@@ -342,8 +419,8 @@ def _mean_richardson(cases, w: WorkloadSpec):
     pole = min(d.lst_pole for case in cases for d in (case.aging, case.overhead))
     h0 = min(_FD_STEP, 0.4 * pole)
     for case in cases if not w.backup_restart_via_primary else cases[:1]:
-        B0 = _ab(case, 0.0)[1]
-        while _ab(case, -2.0 * h0)[1] - B0 > 0.01 * (1.0 - B0):
+        B0 = _ab([case], 0.0)[0][1]
+        while _ab([case], -2.0 * h0)[0][1] - B0 > 0.01 * (1.0 - B0):
             h0 /= 2.0
     return -(16.0 * central(h0 / 2.0) - central(h0)) / 15.0
 
@@ -356,15 +433,23 @@ def completion_time(p: ModelParams, w: WorkloadSpec, method: str = "analytic") -
     central differences with one Richardson extrapolation step (a
     numerical cross-check of the exact route).
     """
+    return _completion_times([p], [w], method)[0]
+
+
+def _completion_times(ps, ws, method: str = "analytic") -> list[float]:
+    """:func:`completion_time` of each (p, w) pair, the windows of all the
+    points evaluated together."""
     if method not in ("analytic", "richardson"):
         raise ValueError(f"unknown method {method!r}")
-    cases = completion_cases(p, w)
-    _, (d1, d2) = _pair(cases, w, 0.0)
-    e1, e2 = _mean_richardson(cases, w) if method == "richardson" else (-d1, -d2)
-    mean = w.b1 * e1 + w.b2 * e2
-    floor = w.b1 * cases[0].t0 + w.b2 * cases[1].t0
-    if mean < floor - 1e-6 * max(1.0, floor):
-        raise ModelConsistencyError(
-            f"completion mean {mean} fell below the failure-free floor {floor}"
-        )
-    return float(mean)
+    means = []
+    for (cases, ab), w in zip(_resolve(ps, ws), ws):
+        _, (d1, d2) = _pair(ab, w, 0.0)
+        e1, e2 = _mean_richardson(cases, w) if method == "richardson" else (-d1, -d2)
+        mean = w.b1 * e1 + w.b2 * e2
+        floor = w.b1 * cases[0].t0 + w.b2 * cases[1].t0
+        if mean < floor - 1e-6 * max(1.0, floor):
+            raise ModelConsistencyError(
+                f"completion mean {mean} fell below the failure-free floor {floor}"
+            )
+        means.append(float(mean))
+    return means

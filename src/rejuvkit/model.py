@@ -26,7 +26,9 @@ once per state into a few products of phase-type survivals.  One call
 of :func:`numerics.phase_integral` per product gives, exactly, its share
 of every entry of the row and of the sojourn time.  A kernel row is the
 plain sum of its events' integrals, divided by that sum once it is
-checked to be 1; no entry is derived from its siblings.
+checked to be 1; no entry is derived from its siblings.  The kernel
+is built for a batch of parameter sets at once, as a sweep's grid: the
+points that share a row's laws and thinning evaluate it together.
 """
 
 from __future__ import annotations
@@ -223,17 +225,22 @@ def state_events(p: ModelParams) -> list[list[_Event]]:
     ]
 
 
-def _row(events):
-    """(P(event k fires first) for each k, mean time until one fires).
+def _row(group):
+    """(P(event k fires first) for each k, mean time until one fires), per point.
 
-    A point mass is evaluated at its offset, and is a step for the
-    integrals: its factor 1 - c applies from the offset on.  Each thinned
-    phase-type survival 1 - cF = (1 - c) + cS is expanded once; each
-    product of survivals, with its coefficient (which holds each event's
-    own c), adds its integrals into its events' entries and the sojourn.
+    ``group`` lists one state's events at each of n points that share
+    every phase-type law and thinning; they differ only in point-mass
+    offsets.  A point mass is evaluated at its offset, and is a step for
+    the integrals: its factor 1 - c applies from the offset on.  Each
+    thinned phase-type survival 1 - cF = (1 - c) + cS is expanded once;
+    each product of survivals, with its coefficient (which holds each
+    event's own c), adds its integrals, at all n points at once, into its
+    events' entries and the sojourn.  Returns (n, k) entries and (n,)
+    sojourns.
     """
-    totals = np.zeros(len(events) + 1)  # each event's entry, then the sojourn
-    steps = []
+    events = group[0]
+    totals = np.zeros((len(group), len(events) + 1))  # each event's entry, then the sojourn
+    steps = [() for _ in group]
     products = [(1.0, ())]
     for j, ev in enumerate(events):
         if ev.thin == 0.0:
@@ -245,51 +252,69 @@ def _row(events):
         # simultaneous deterministic firings are awarded to the
         # earlier-listed event so that rows still sum to 1: a point mass
         # at t listed from j on (j itself included) has not fired
-        t = ev.dist.offset
-        steps.append((t, 1.0 - ev.thin))
-        acc = ev.thin
-        for k, other in enumerate(events):
-            if not (isinstance(other.dist, Deterministic) and other.dist.offset == t and k >= j):
-                acc *= 1.0 - other.thin * other.dist.cdf(t)
-        totals[j] = acc
+        for n, point_events in enumerate(group):
+            t = point_events[j].dist.offset
+            steps[n] += ((t, 1.0 - ev.thin),)
+            acc = ev.thin
+            for k, other in enumerate(point_events):
+                tied = isinstance(other.dist, Deterministic) and other.dist.offset == t
+                if not (tied and k >= j):
+                    acc *= 1.0 - other.thin * other.dist.cdf(t)
+            totals[n, j] = acc
+    steps = tuple(steps)
     for c, ks in products:
-        totals[[*ks, -1]] += c * phase_integral(tuple(events[k].dist for k in ks), steps)
+        integrals = c * phase_integral(tuple(events[k].dist for k in ks), steps)
+        np.add.at(totals, (slice(None), [*ks, -1]), integrals)
     # an integral of true size ~1e-35 can round to a few -1e-17
-    return np.maximum(totals[:-1], 0.0), totals[-1]
+    return np.maximum(totals[:, :-1], 0.0), totals[:, -1]
 
 
-def _kernel(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """(P, h): the embedded DTMC's transition matrix and the mean sojourns.
+def _kernel(ps) -> tuple[np.ndarray, np.ndarray]:
+    """(P, h) of each parameter set in ``ps``: the embedded DTMC's (n, 12, 12)
+    transition matrices and the (n, 12) mean sojourns.
 
     Each entry is the exact competing-risks integral of its event, so a
-    row is the plain sum of its events' entries.  A row whose sum strays
-    from 1 by more than 1e-8 raises :class:`ModelConsistencyError`; the
-    row is then divided by its sum, which removes the rounding.
+    row is the plain sum of its events' entries.  The points whose row
+    has the same phase-type laws and thinning share one evaluation of it.
+    A row whose sum strays from 1 by more than 1e-8 raises
+    :class:`ModelConsistencyError`; the row is then divided by its sum,
+    which removes the rounding.
     """
-    P = np.zeros((N_STATES, N_STATES))
-    h = np.zeros(N_STATES)
-    for i, evs in enumerate(state_events(p)):
-        entries, h[i] = _row(evs)
-        for ev, e in zip(evs, entries):
-            P[i, ev.target] += e
-        total = P[i].sum()
-        if abs(total - 1.0) > _ROW_SUM_TOL:
-            raise ModelConsistencyError(
-                f"kernel row {i} ({STATES[i].label}) sums to {total:.12f} "
-                f"before normalisation (off by {abs(total - 1.0):.3e})"
+    events = [state_events(p) for p in ps]
+    P = np.zeros((len(ps), N_STATES, N_STATES))
+    h = np.zeros((len(ps), N_STATES))
+    for i in range(N_STATES):
+        groups = {}
+        for n, point_events in enumerate(events):
+            shared = None if len(ps) == 1 else tuple(
+                (ev.thin, None if isinstance(ev.dist, Deterministic) else ev.dist)
+                for ev in point_events[i]
             )
-        P[i] /= total
+            groups.setdefault(shared, []).append(n)
+        for points in groups.values():
+            group = [events[n][i] for n in points]
+            at = points if len(groups) > 1 else slice(None)
+            entries, h[at, i] = _row(group)
+            for ev, e in zip(group[0], entries.T):
+                P[at, i, ev.target] += e
+    total = P.sum(axis=-1)
+    for n, i in np.argwhere(np.abs(total - 1.0) > _ROW_SUM_TOL)[:1]:
+        raise ModelConsistencyError(
+            f"kernel row {i} ({STATES[i].label}) sums to {total[n, i]:.12f} "
+            f"before normalisation (off by {abs(total[n, i] - 1.0):.3e})"
+        )
+    P /= total[..., None]
     return P, h
 
 
 def transition_matrix(p: ModelParams) -> np.ndarray:
     """One-step transition probability matrix of the embedded DTMC."""
-    return _kernel(p)[0]
+    return _kernel([p])[0][0]
 
 
 def sojourn_times(p: ModelParams) -> np.ndarray:
     """Mean sojourn time per state: integral of the survival product."""
-    return _kernel(p)[1]
+    return _kernel([p])[1][0]
 
 
 def scale_time(p: ModelParams, k: float) -> ModelParams:

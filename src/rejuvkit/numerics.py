@@ -7,12 +7,23 @@ are evaluated here exactly, with no quadrature: one solve per product
 of survivals gives all of its integrals at once.  The model is 12
 states, so the chain solves are dense with partial pivoting.
 
+Everything but the Kronecker solve works on a batch of points at once:
+a sweep's grid points differ in their trigger offsets and window
+lengths, so their matrix exponentials are stacked into one
+``(n, k, k)`` array, each keeping its own squaring count, and their row
+vectors into ``(n, ...)`` arrays.  Every per-point product is the same
+BLAS call, on the same shapes, that a single point makes, so a point's
+value does not depend on the batch it is solved in.
+
 The memos of exact work all live here, as bounded LRU caches keyed by
 value, and the arrays they hold are read-only: ``_term_solution`` (256
 entries; it depends on the laws only, so a trigger sweep shares it),
-``_track`` (32: a law's row vectors at one state's trigger edges, shared
-by the products of the row) and ``phase_window`` (32: what one
-completion evaluation meets).
+``_segments`` (32: the segment edges and weights of one row's steps at
+each point of a batch, shared by the products of the row), ``_track``
+(32: a law's row vectors at those edges, shared by the products of a row
+and by a repeated build) and ``phase_window`` (32: a law's windows at one
+transform argument, for each window length of a batch; a repeated
+completion evaluation meets them again).
 """
 
 from __future__ import annotations
@@ -85,73 +96,104 @@ def kron_sum_solve(generators, V):
 
 
 def _contract(rows, x):
-    """(row_1 (x) ... (x) row_m) . x over the leading axes of ``x``, per trailing index."""
-    for r in rows:
-        x = r @ x.reshape(r.size, -1)
-    return x.reshape(-1)
+    """(row_1 (x) ... (x) row_m) . x over the leading axes of ``x``, per
+    trailing index, for each point: ``rows`` hold one (n, 1, k) stack per
+    law, and ``x`` is shared by the n points."""
+    x = rows[0] @ x.reshape(rows[0].shape[-1], -1)
+    for r in rows[1:]:
+        x = r @ x.reshape(len(x), r.shape[-1], -1)
+    return x.reshape(len(x), -1)
 
 
 def _taylor_step(M):
-    """e^M for a 1-norm of at most 2: the Taylor polynomial of degree 24.
+    """e^M of each matrix in the stack ``M``, of 1-norm at most 2: the
+    Taylor polynomial of degree 24.
 
     Paterson-Stockmeyer: one product of the coefficient table with
     I, M, ..., M^4 gives the five block polynomials, and four Horner
-    steps in M^5 join them, so eight n x n products in all.  The
+    steps in M^5 join them, so eight n x n products per matrix.  The
     truncation term is 2^25/25! < 3e-18 at norm 2, and nothing is
     squared.
     """
-    n = M.shape[0]
-    powers = np.empty((5, n, n))
-    powers[0] = np.eye(n)
-    powers[1] = M
+    b, n = M.shape[0], M.shape[-1]
+    powers = np.empty((b, 5, n, n))
+    powers[:, 0] = np.eye(n)
+    powers[:, 1] = M
     for k in range(2, 5):
-        np.matmul(powers[k - 1], M, out=powers[k])
-    M5 = powers[4] @ M
-    blocks = (_TAYLOR @ powers.reshape(5, n * n)).reshape(5, n, n)
-    E = blocks[4]
+        np.matmul(powers[:, k - 1], M, out=powers[:, k])
+    M5 = powers[:, 4] @ M
+    blocks = (_TAYLOR @ powers.reshape(b, 5, n * n)).reshape(b, 5, n, n)
+    E = blocks[:, 4]
     for j in (3, 2, 1, 0):
         E = M5 @ E
-        E += blocks[j]
+        E += blocks[:, j]
     return E
 
 
 def _expm_triangular(M):
-    """e^M of an upper-triangular M, exact to rounding at nearly equal diagonals.
+    """e^M of each upper-triangular matrix in the stack ``M``, exact to
+    rounding at nearly equal diagonals.
 
     The Taylor step is taken on M/2^s, with 1-norm at most 2, and the
-    result is squared s times.  Squaring a triangular exponential lets
-    the rounding of its diagonal and superdiagonal grow with every
-    product; at nearly equal rates the superdiagonal, m times the
-    divided difference of e^x, would come from entries that cancel.
-    So after each squaring the diagonal is reset to e^x and the
-    superdiagonal to m e^{max(x, y)} (1 - e^{-|y - x|})/|y - x|, which
-    has no cancellation (Al-Mohy & Higham 2009, SIAM J. Matrix Anal.
-    Appl. 31:970, Code Fragment 2.1).
+    result is squared s times; s is each matrix's own.  Squaring a
+    triangular exponential lets the rounding of its diagonal and
+    superdiagonal grow with every product; at nearly equal rates the
+    superdiagonal, m times the divided difference of e^x, would come from
+    entries that cancel.  So after each squaring the diagonal is reset to
+    e^x and the superdiagonal to m e^{max(x, y)} (1 - e^{-|y - x|})/|y - x|,
+    which has no cancellation (Al-Mohy & Higham 2009, SIAM J. Matrix Anal.
+    Appl. 31:970, Code Fragment 2.1).  A matrix of norm at most 2 takes
+    the Taylor step alone, with no reset.
+
+    The squarings are aligned at their end: the stack is ordered by
+    count, most first, so at each pass the matrices still squaring, all
+    at the same power of 2, are a leading slice, which those whose count
+    is reached join.
     """
-    norm = np.abs(M).sum(axis=0).max()
-    if norm <= 2.0:  # the Taylor step alone: nothing to square
-        return _taylor_step(M)
-    squarings = math.ceil(math.log2(norm / 2.0))
-    scale = 0.5 ** np.arange(squarings, -1, -1.0)[:, None]
-    x = scale * M.diagonal()
-    lo, hi = x[:, :-1], x[:, 1:]
+    norm = np.abs(M).sum(axis=-2).max(axis=-1)
+    counts = [math.ceil(math.log2(v / 2.0)) if v > 2.0 else -1 for v in norm.tolist()]
+    if any(a < b for a, b in zip(counts, counts[1:])):
+        order = sorted(range(len(counts)), key=counts.__getitem__, reverse=True)
+        return _squared(M[order], sorted(counts, reverse=True))[np.argsort(order)]
+    return _squared(M, counts)
+
+
+def _squared(M, counts):
+    """:func:`_expm_triangular` of a stack ordered by squaring ``counts``
+    (-1 for none), most first."""
+    if counts[0] == counts[-1]:
+        scale = 0.5 ** max(counts[0], 0)
+    else:
+        scale = np.array([0.5 ** max(c, 0) for c in counts])[:, None, None]
+    E = _taylor_step(M * scale)
+    if counts[0] < 0:
+        return E
+    scale = 0.5 ** np.arange(counts[0], -1, -1.0)[:, None, None]
+    x = scale * M.diagonal(axis1=-2, axis2=-1)
+    lo, hi = x[..., :-1], x[..., 1:]
     # a zero gap reads as the smallest normal one: the quotient is then 1
     gap = np.maximum(np.abs(hi - lo), _TINY)
-    upper = scale * M.diagonal(1) * np.exp(np.maximum(lo, hi)) * (-np.expm1(-gap) / gap)
+    upper = scale * M.diagonal(1, -2, -1) * np.exp(np.maximum(lo, hi)) * (-np.expm1(-gap) / gap)
     diagonal = np.exp(x)
-    E = _taylor_step(M * scale[0, 0])
-    n = M.shape[0]
-    for k in range(squarings + 1):
-        if k:
+    n = M.shape[-1]
+    on = 0
+    for t in range(counts[0] + 1):
+        squared = on  # the matrices that joined at an earlier pass
+        while on < len(counts) and counts[on] >= counts[0] - t:
+            on += 1
+        if squared == len(E):
             E = E @ E
-        flat = E.reshape(-1)
-        flat[:: n + 1] = diagonal[k]
-        flat[1 :: n + 1] = upper[k]
+        elif squared:
+            E[:squared] = E[:squared] @ E[:squared]
+        flat = E.reshape(len(E), -1)[:on]
+        flat[:, :: n + 1] = diagonal[t, :on]
+        flat[:, 1 :: n + 1] = upper[t, :on]
     return E
 
 
-def _segment(d, length):
-    """(e^{TL}, I - e^{TL}) of a phase-type law over a segment of length L.
+def _segment(d, lengths):
+    """(e^{TL}, I - e^{TL}) of a phase-type law over segments of each length L
+    in ``lengths``, stacked.
 
     Both come from one block exponential: e^N with N = [[TL, I], [0, 0]]
     holds e^{TL} and Phi/L, Phi the integral of e^{Tu} over [0, L], and
@@ -159,49 +201,84 @@ def _segment(d, length):
     """
     _, T = d.phase_type
     n = T.shape[0]
-    N = np.zeros((2 * n, 2 * n))
-    N[:n, :n] = T * length
-    N[:n, n:] = np.eye(n)
+    N = np.zeros((len(lengths), 2 * n, 2 * n))
+    N[:, :n, :n] = T * lengths[:, None, None]
+    N[:, :n, n:] = np.eye(n)
     E = _expm_triangular(N)
-    return E[:n, :n], -N[:n, :n] @ E[:n, n:]
+    return E[:, :n, :n], -N[:, :n, :n] @ E[:, :n, n:]
 
 
 # depends on the laws, not the trigger offsets: a trigger sweep shares it
 @functools.lru_cache(maxsize=256)
 def _term_solution(laws):
-    """x = (-K)^{-1} V of one product of ``laws``, V stacking one exit vector
-    on each axis in turn (unit vectors on the rest), then unit vectors only."""
+    """(x, R(0)) of one product of ``laws``: x = (-K)^{-1} V, V stacking one
+    exit vector on each axis in turn (unit vectors on the rest), then unit
+    vectors only, and R(0) = (alpha_1 (x) ... (x) alpha_m) . x, the
+    integrals over [0, inf) with no step, as a (1, m + 1) row."""
     generators = [d.phase_type[1] for d in laws]
     V = np.ones(tuple(T.shape[0] for T in generators) + (len(laws) + 1,))
     for k, T in enumerate(generators):
         V[..., k] *= -T.sum(axis=1).reshape((-1,) + (1,) * (len(laws) - k - 1))
     x = kron_sum_solve(generators, V)
+    whole = _contract([d.phase_type[0].reshape(1, 1, -1) for d in laws], x)
     x.setflags(write=False)
-    return x
+    whole.setflags(write=False)
+    return x, whole
 
 
-# one model build meets each (law, trigger edges) pair in several rows
+# the products of a row, and a repeated build, meet each (law, edges) pair again
 @functools.lru_cache(maxsize=32)
 def _track(d, edges):
-    """r(a) = alpha e^{Ta} at each edge a, and r(a) - r(b) over each finite
-    segment [a, b) between the sorted ``edges``; read-only."""
-    rows, drops = [d.phase_type[0]], []
-    for a, b in zip(edges, edges[1:]):
-        E, D = _segment(d, b - a)
-        drops.append(rows[-1] @ D)
-        rows.append(rows[-1] @ E)
+    """r(a) = alpha e^{Ta} at each edge a, and r(a) - r(b) over each segment
+    [a, b), of each point's sorted ``edges`` (one tuple per point, all of
+    one length): one (n, 1, k) stack per edge and per segment, but the
+    first edge, 0 at every point, holds alpha once, (1, 1, k); read-only."""
+    alpha = d.phase_type[0]
+    m = len(edges[0])
+    rows, drops = [alpha.reshape(1, 1, -1)], []
+    if m > 1:
+        E, D = _segment(d, np.array([b - a for cut in edges for a, b in zip(cut, cut[1:])]))
+        for i in range(m - 1):  # point-major: segment i of each point
+            drops.append(rows[-1] @ D[i :: m - 1])
+            rows.append(rows[-1] @ E[i :: m - 1])
     for r in rows + drops:
         r.setflags(write=False)
     return tuple(rows), tuple(drops)
 
 
-def phase_integral(laws, steps=()) -> np.ndarray:
-    """Exact integrals over [0, inf) of m(t) against the race of ``laws``.
+# the products of a row share their points' steps
+@functools.lru_cache(maxsize=32)
+def _segments(steps):
+    """(edges, weights) of each point's ``steps``: 0 and the sorted offsets,
+    as a tuple per point, and for each segment from an edge on, the product
+    of the factors in force there: a number where it is the same at every
+    point (None where that is 0), else an (n, 1) array."""
+    edges = tuple(tuple(sorted((0.0, *(off for off, _ in point)))) for point in steps)
+    weights = [
+        [math.prod(f for off, f in point if off <= a) for a in cut]
+        for point, cut in zip(steps, edges)
+    ]
+    columns = []
+    for w in zip(*weights):
+        if w.count(w[0]) < len(w):
+            columns.append(np.array(w, dtype=float)[:, None])
+            columns[-1].setflags(write=False)
+        else:
+            columns.append(float(w[0]) or None)
+    return edges, tuple(columns)
 
-    Returns, for each phase-type law k, the integral of m(t) f_k(t)
-    prod_{j != k} S_j(t), then that of m(t) prod_j S_j(t); m(t) is the
-    product of the factors of the ``steps`` ``(offset, factor)`` with
-    offset <= t, so the offsets cut [0, inf) into segments.
+
+def phase_integral(laws, steps) -> np.ndarray:
+    """Exact integrals over [0, inf) of m(t) against the race of ``laws``, at
+    each of n points.
+
+    Returns (n, len(laws) + 1): for each phase-type law k, the integral of
+    m(t) f_k(t) prod_{j != k} S_j(t), then that of m(t) prod_j S_j(t).  At
+    a point, m(t) is the product of the factors of its ``steps``
+    ``(offset, factor)`` with offset <= t, so the offsets cut [0, inf) into
+    segments; ``steps`` is a tuple that holds one tuple of steps per point,
+    each of the same length.  A zero or repeated offset is a segment of
+    length 0, which adds exactly 0.
 
     Each integrand is (alpha_1 (x) ... (x) alpha_m) e^{Kt} v, with K the
     Kronecker sum of the T_k and v unit vectors, but for an exit vector
@@ -212,21 +289,28 @@ def phase_integral(laws, steps=()) -> np.ndarray:
     r_k(a) (I - e^{T_k (b - a)}) at a time, so short segments keep their
     relative precision.  Without laws, m alone is integrated.
     """
-    edges = tuple(sorted({0.0, *(off for off, _ in steps if off > 0.0)}))
-    weights = [math.prod(f for off, f in steps if off <= a) for a in edges]
+    edges, weights = _segments(steps)
     if not laws:
-        if weights[-1] != 0.0:
+        if weights[-1] is not None:
             raise ArithmeticError("survival product does not decay: infinite integral")
-        return np.array([sum(w * (b - a) for w, a, b in zip(weights, edges, edges[1:]))])
+        cut = np.array(edges)
+        acc = np.zeros((len(cut), 1))
+        for i, w in enumerate(weights[:-1]):
+            if w is not None:
+                acc = acc + w * (cut[:, i + 1, None] - cut[:, i, None])
+        return acc
 
-    x = _term_solution(laws)
+    x, whole = _term_solution(laws)
+    acc = np.zeros((len(edges), len(laws) + 1))
+    if len(weights) == 1:  # no step at any point: R(0), the same at each
+        acc += weights[0] * whole
+        return acc
     rows, drops = zip(*(_track(d, edges) for d in laws))
-    acc = np.zeros(len(laws) + 1)
     for i, w in enumerate(weights):
-        if w == 0.0:
+        if w is None:
             continue
         start = [r[i] for r in rows]
-        if i + 1 == len(edges):
+        if i + 1 == len(weights):
             acc += w * _contract(start, x)
             continue
         end = [r[i + 1] for r in rows]
@@ -235,49 +319,53 @@ def phase_integral(laws, steps=()) -> np.ndarray:
     return acc
 
 
-# one completion evaluation meets each (law, s, window) several times
+# one completion evaluation meets each (law, s, windows) several times
 @functools.lru_cache(maxsize=32)
-def phase_window(d, s: float, h: float) -> tuple[float, float]:
-    """Windowed transform and moment of a phase-type law over [0, h].
+def phase_window(d, s: float, lengths: tuple) -> tuple:
+    """Windowed transform and moment of a phase-type law over [0, h], for
+    each window length h in ``lengths``.
 
-    Returns (integral of e^{-su} dF(u), integral of u e^{-su} dF(u)), both
-    over [0, h], from one block exponential (Van Loan 1978): with
-    A = T - sI and t the exit vector, e^N with
-    N = [[Ah, I, 0], [0, Ah, th], [0, 0, 0]] holds the integral of
-    e^{Au} t in its (2, 3) block and that of u e^{Au} t, divided by h,
-    in its (1, 3) block.
+    Returns one pair (integral of e^{-su} dF(u), integral of
+    u e^{-su} dF(u)), both over [0, h], per length, from one block
+    exponential each, stacked (Van Loan 1978): with A = T - sI and t the
+    exit vector, e^N with N = [[Ah, I, 0], [0, Ah, th], [0, 0, 0]] holds
+    the integral of e^{Au} t in its (2, 3) block and that of u e^{Au} t,
+    divided by h, in its (1, 3) block.
     """
     alpha, T = d.phase_type
     n = T.shape[0]
-    Ah = (T - s * np.eye(n)) * h
-    N = np.zeros((2 * n + 1, 2 * n + 1))
-    N[:n, :n] = Ah
-    N[:n, n : 2 * n] = np.eye(n)
-    N[n : 2 * n, n : 2 * n] = Ah
-    N[n : 2 * n, 2 * n] = -T.sum(axis=1) * h
+    h = np.array(lengths)
+    Ah = (T - s * np.eye(n)) * h[:, None, None]
+    N = np.zeros((len(h), 2 * n + 1, 2 * n + 1))
+    N[:, :n, :n] = Ah
+    N[:, :n, n : 2 * n] = np.eye(n)
+    N[:, n : 2 * n, n : 2 * n] = Ah
+    N[:, n : 2 * n, 2 * n] = -T.sum(axis=1) * h[:, None]
     E = _expm_triangular(N)
-    return float(alpha @ E[n : 2 * n, 2 * n]), h * float(alpha @ E[:n, 2 * n])
+    lst = (alpha @ E[:, n : 2 * n, 2 * n :])[:, 0]
+    moment = h * (alpha @ E[:, :n, 2 * n :])[:, 0]
+    return tuple(zip(lst.tolist(), moment.tolist()))
 
 
 def reachability(P: np.ndarray) -> np.ndarray:
-    """Boolean matrix whose [i, j] says that j can be reached from i (or j == i)."""
-    n = P.shape[0]
+    """Boolean matrix whose [i, j] says that j can be reached from i (or j == i);
+    a stack of matrices gives a stack."""
+    n = P.shape[-1]
     reach = (P > 0.0) | np.eye(n, dtype=bool)
     for _ in range(n.bit_length()):  # squaring doubles the path length covered
         reach = (reach.astype(float) @ reach) > 0.0
     return reach
 
 
-def _closed_classes(reach: np.ndarray):
-    """Recurrent classes of the reachability matrix ``reach``, by lowest state.
+def _class_heads(reach: np.ndarray) -> np.ndarray:
+    """Mask of the lowest state of each recurrent class, per reachability matrix.
 
     A state is recurrent when every state it reaches reaches it back; its
     class is then the set of states it reaches, and the class's lowest
     state, which reaches no lower one, stands for it.
     """
-    recurrent = ~(reach & ~reach.T).any(axis=1)
-    lowest = reach.argmax(axis=1) == np.arange(len(reach))
-    return [np.flatnonzero(reach[i]).tolist() for i in np.flatnonzero(recurrent & lowest)]
+    recurrent = ~(reach & ~np.swapaxes(reach, -1, -2)).any(axis=-1)
+    return recurrent & (reach.argmax(axis=-1) == np.arange(reach.shape[-1]))
 
 
 def dtmc_stationary(P: np.ndarray) -> np.ndarray:
@@ -292,19 +380,23 @@ def dtmc_stationary(P: np.ndarray) -> np.ndarray:
     n = P.shape[0]
     if P.shape != (n, n):
         raise ValueError(f"square matrix required, got {P.shape}")
-    return _stationary(P, reachability(P))
+    return _stationary(P[None], reachability(P)[None])[0]
 
 
 def _stationary(P: np.ndarray, reach: np.ndarray) -> np.ndarray:
-    """:func:`dtmc_stationary` of a square ``P`` with reachability ``reach``."""
-    n = P.shape[0]
-    rows = P.sum(axis=1)
-    bad = np.nonzero(np.abs(rows - 1.0) > _STOCHASTIC_TOL)[0]
-    if bad.size:
-        raise ValueError(f"matrix is not row-stochastic in rows {bad.tolist()} (sums {rows[bad]})")
-
-    closed = _closed_classes(reach)
-    if len(closed) != 1:
+    """:func:`dtmc_stationary` of each matrix in the stack ``P``, with
+    reachability ``reach``: one stacked solve."""
+    n = P.shape[-1]
+    rows = P.sum(axis=-1)
+    stray = np.abs(rows - 1.0) > _STOCHASTIC_TOL
+    heads = _class_heads(reach)
+    for j in np.flatnonzero(stray.any(axis=-1) | (heads.sum(axis=-1) != 1)):
+        bad = np.flatnonzero(stray[j])
+        if bad.size:
+            raise ValueError(
+                f"matrix is not row-stochastic in rows {bad.tolist()} (sums {rows[j][bad]})"
+            )
+        closed = [np.flatnonzero(reach[j][i]).tolist() for i in np.flatnonzero(heads[j])]
         outside = sorted(set(range(n)) - set(closed[0])) if closed else list(range(n))
         raise ReducibleChainError(
             f"chain has {len(closed)} recurrent classes; no unique stationary vector "
@@ -312,19 +404,19 @@ def _stationary(P: np.ndarray, reach: np.ndarray) -> np.ndarray:
             states=outside,
         )
 
-    A = P.T - np.eye(n)
-    A[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
+    A = np.swapaxes(P, -1, -2) - np.eye(n)
+    A[:, -1, :] = 1.0
+    b = np.zeros((len(P), n, 1))
+    b[:, -1] = 1.0
     try:
-        v = np.linalg.solve(A, b)
+        v = np.linalg.solve(A, b)[..., 0]
     except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by class check
         raise ReducibleChainError(f"stationary system singular: {exc}") from exc
     v[np.abs(v) < 1e-15] = 0.0
-    if (v < -1e-10).any():
-        raise ArithmeticError(f"stationary solve produced negative mass: {v}")
+    for point in v[(v < -1e-10).any(axis=-1)]:
+        raise ArithmeticError(f"stationary solve produced negative mass: {point}")
     v = np.clip(v, 0.0, None)
-    return v / v.sum()
+    return v / v.sum(axis=-1, keepdims=True)
 
 
 class AbsorptionUnreachable(ArithmeticError):
@@ -332,15 +424,16 @@ class AbsorptionUnreachable(ArithmeticError):
 
 
 def absorbing_visits(M: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Expected visit counts V = alpha (I - M)^-1 for a sub-stochastic M."""
+    """Expected visit counts V = alpha (I - M)^-1 for a sub-stochastic M; a
+    stack of matrices gives a stack of counts, from one stacked solve."""
     M = np.asarray(M, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
-    n = M.shape[0]
-    if M.shape != (n, n) or alpha.shape != (n,):
+    n = M.shape[-1]
+    if M.shape[-2:] != (n, n) or alpha.shape != (n,):
         raise ValueError(f"shape mismatch: M {M.shape}, alpha {alpha.shape}")
     A = np.eye(n) - M
     try:
-        V = np.linalg.solve(A.T, alpha)
+        V = np.linalg.solve(np.swapaxes(A, -1, -2), alpha[:, None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise AbsorptionUnreachable(
             "I - M is singular: the model has no path to absorption"

@@ -18,7 +18,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ctmc
-from .analysis import CompletionNotApplicable, completion_lsts, completion_time, metrics_report
+from .analysis import (
+    CompletionNotApplicable, _completion_times, _reports, completion_lsts, metrics_report
+)
 from .config import ConfigError, RunConfig
 from .distributions import Exponential
 from .model import TRIGGER_SIDES, TRIGGERS, _trigger
@@ -37,6 +39,7 @@ __all__ = [
 
 CSV_HEADER = ("variable", "value", "metric", "analytic", "sim_mean", "ci_low", "ci_high")
 METRICS = ("availability", "mttf", "completion")
+_BATCH = 1024  # sweep points per batched pass: bounds the memory of a wide grid
 
 
 def _check_metrics(metrics):
@@ -107,17 +110,22 @@ def apply_variable(cfg: RunConfig, variable: str, value: float, tie: str = "all"
     return cfg.with_overrides({variable: value})
 
 
-def _evaluate(cfg: RunConfig, metrics) -> dict:
+def _evaluate(cfgs, metrics) -> list[dict]:
+    """The ``metrics`` of each config in ``cfgs``, each metric evaluated for
+    all of them in one batched pass."""
     want_completion = "completion" in metrics
-    if want_completion and cfg.workload is None:
+    if want_completion and any(cfg.workload is None for cfg in cfgs):
         raise ConfigError("completion metric requested but the config has no workload block")
+    params = [cfg.params for cfg in cfgs]
     values = {}
     if set(metrics) - {"completion"}:
-        report = metrics_report(cfg.params)
-        values.update(availability=report.availability, mttf=report.mttf)
+        reports = _reports(params)
+        values.update(
+            availability=[r.availability for r in reports], mttf=[r.mttf for r in reports]
+        )
     if want_completion:
-        values["completion"] = completion_time(cfg.params, cfg.workload)
-    return {m: values[m] for m in metrics}
+        values["completion"] = _completion_times(params, [cfg.workload for cfg in cfgs])
+    return [{m: values[m][n] for m in metrics} for n in range(len(cfgs))]
 
 
 def _trigger_value(params) -> float:
@@ -164,24 +172,45 @@ def _refine(f, grid, vals, best, minimise):
     return (x_new, f_new) if sign * f_new <= sign * fx else (x, fx)
 
 
+class _SweepRows:
+    """A sweep's CSV rows, ``(variable, value, metric, analytic, "", "", "")``
+    for each grid value and metric in turn, read from one array of the
+    values: a wide grid keeps one float per row, not a tuple."""
+
+    def __init__(self, variable, grid, metrics, values):
+        self._variable, self._grid, self._metrics = variable, np.array(grid), metrics
+        self._values = values
+
+    def __len__(self):
+        return self._values.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        point, m = divmod(range(len(self))[i], len(self._metrics))
+        value, analytic = float(self._grid[point]), float(self._values[point, m])
+        return (self._variable, value, self._metrics[m], analytic, "", "", "")
+
+
 def run_sweep(cfg: RunConfig, spec: SweepSpec):
     """(CSV rows, optimum records) over the sweep grid.
 
-    The optimum maximises availability/MTTF and minimises completion
-    time, breaking ties toward the smaller grid value.  With
-    ``spec.refine`` an interior optimum moves to the stationary point of
-    the polynomial through up to 7 grid values around it, evaluated once
-    more and kept if it is no worse than the grid point.
+    The grid is evaluated in batched passes of up to 1024 points.  The
+    optimum maximises availability/MTTF and minimises completion time,
+    breaking ties toward the smaller grid value.  With ``spec.refine`` an
+    interior optimum moves to the stationary point of the polynomial
+    through up to 7 grid values around it, evaluated once more and kept
+    if it is no worse than the grid point.
     """
     grid = spec.grid()
-    rows = []
-    series = {m: [] for m in spec.metrics}
-    for value in grid:
-        point = apply_variable(cfg, spec.variable, value, spec.tie)
-        metrics = _evaluate(point, spec.metrics)
-        for m in spec.metrics:
-            rows.append((spec.variable, value, m, metrics[m], "", "", ""))
-            series[m].append(metrics[m])
+    values = np.empty((len(grid), len(spec.metrics)))
+    for start in range(0, len(grid), _BATCH):
+        chunk = grid[start : start + _BATCH]
+        points = [apply_variable(cfg, spec.variable, value, spec.tie) for value in chunk]
+        for n, point in enumerate(_evaluate(points, spec.metrics), start):
+            values[n] = [point[m] for m in spec.metrics]
+    rows = _SweepRows(spec.variable, grid, spec.metrics, values)
+    series = dict(zip(spec.metrics, values.T.tolist()))
 
     optima = {}
     for m in spec.metrics:
@@ -199,7 +228,7 @@ def run_sweep(cfg: RunConfig, spec: SweepSpec):
 
             def f(v, _m=m):
                 point = apply_variable(cfg, spec.variable, v, spec.tie)
-                return _evaluate(point, (_m,))[_m]
+                return _evaluate([point], (_m,))[0][_m]
 
             x, fx = _refine(f, grid, vals, best, minimise)
             record.update(value=x, optimum=fx, refined=True)
@@ -223,7 +252,7 @@ def run_simulate(cfg: RunConfig, sim: SimConfig, metrics=("availability", "mttf"
     for index, point in enumerate(points):
         at = cfg if point is None else apply_variable(cfg, "trigger_interval", point, "all")
         trigger = _trigger_value(at.params)
-        analytic = _evaluate(at, metrics)
+        analytic = _evaluate([at], metrics)[0]
         for m in metrics:
             if m == "availability":
                 est = simulate_availability(at.params, sim, index)

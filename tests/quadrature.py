@@ -223,8 +223,13 @@ def sojourn_times(p: ModelParams, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 def window(d: Distribution, s: float, hi: float) -> tuple[float, float]:
-    """Quadrature stand-in for ``analysis._window``: the windowed transform
-    and moment of ``d`` over [0, hi]."""
+    """The windowed transform and moment of ``d`` over [0, hi], by quadrature."""
     lst = stieltjes(lambda h: math.exp(-s * h), d, lower=0.0, upper=hi)
     moment = stieltjes(lambda h: h * math.exp(-s * h), d, lower=0.0, upper=hi)
     return lst, moment
+
+
+def windows(requests, s: float) -> list:
+    """Quadrature stand-in for ``analysis._windows``: :func:`window` of each
+    ``(law, hi)`` request."""
+    return [window(d, s, hi) for d, hi in requests]

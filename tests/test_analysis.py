@@ -123,7 +123,7 @@ def test_reachability_runs_once_per_report(monkeypatch):
             trigger=trigger, aging=Exponential(0.001), failure=Exponential(0.01), c=(1.0, 0.0, 0.0)
         )
         metrics_report(p)
-        assert calls == [(12, 12)]
+        assert calls == [(1, 12, 12)]  # a stack of one kernel
 
 
 def test_mttf_absorption_unreachable_raises():
@@ -390,18 +390,16 @@ def test_default_completion_is_the_analytic_route():
 
 def test_completion_cases_resolved_once_per_call(monkeypatch):
     import rejuvkit.analysis as analysis
-    import rejuvkit.simulator as simulator
     from rejuvkit import SimConfig, simulate_completion
 
     calls = []
-    real = analysis.completion_cases
+    real = analysis._cases  # builds one point's two cases, under every resolver
 
     def counted(p, w):
         calls.append(1)
         return real(p, w)
 
-    monkeypatch.setattr(analysis, "completion_cases", counted)
-    monkeypatch.setattr(simulator, "completion_cases", counted)
+    monkeypatch.setattr(analysis, "_cases", counted)
     p = make_params()
     w = WorkloadSpec(x=590.6201, r1=0.566316)
     for method in ("analytic", "richardson"):

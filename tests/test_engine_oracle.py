@@ -37,7 +37,7 @@ def _assert_agree(p, w, monkeypatch):
         return
     exact = _completions(p, w)
     with monkeypatch.context() as m:
-        m.setattr(analysis, "_window", quadrature.window)
+        m.setattr(analysis, "_windows", quadrature.windows)
         # quadrature windows conserve the case masses to their own
         # tolerance, not to the exact windows' few ulp
         m.setattr(analysis, "_CONSERVATION_TOL", quadrature.DEFAULT_TOL)

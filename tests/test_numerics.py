@@ -8,6 +8,7 @@ import pytest
 from rejuvkit import Deterministic, Erlang, Exponential, Hypoexponential
 from rejuvkit.numerics import (
     ReducibleChainError,
+    _expm_triangular,
     _segment,
     _taylor_step,
     _track,
@@ -241,7 +242,7 @@ def test_kron_sum_solve_matches_dense(rng):
 def test_phase_integral_two_exponential_race():
     # each law's chance to fire first, then the mean time to the first firing
     kappa, omega = 120.5, 0.0010432
-    values = phase_integral((Exponential(kappa), Exponential(omega)))
+    values = phase_integral((Exponential(kappa), Exponential(omega)), ((),))[0]
     closed = [kappa / (kappa + omega), omega / (kappa + omega), 1.0 / (kappa + omega)]
     assert np.abs(values - closed).max() <= 1e-15
 
@@ -250,48 +251,55 @@ def test_phase_integral_steps_cut_segments():
     # survival e^{-lt} weighted 1 before tau and w after: a truncated mean
     # plus a weighted tail
     lam, tau, w = 0.3, 2.5, 0.25
-    value = phase_integral((Exponential(lam),), [(tau, w)])[-1]
+    value = phase_integral((Exponential(lam),), (((tau, w),),))[0, -1]
     closed = (1.0 - math.exp(-lam * tau)) / lam + w * math.exp(-lam * tau) / lam
     assert value == pytest.approx(closed, rel=1e-14)
     # a thinned survival splits into its constant and survival parts
-    steps = [(tau, 0.0)]
-    constant, survival = phase_integral((), steps), phase_integral((Exponential(lam),), steps)
+    steps = (((tau, 0.0),),)
+    constant, survival = phase_integral((), steps)[0], phase_integral((Exponential(lam),), steps)[0]
     value = 0.4 * constant[-1] + 0.6 * survival[-1]
     closed = 0.4 * tau + 0.6 * (1.0 - math.exp(-lam * tau)) / lam
     assert value == pytest.approx(closed, rel=1e-14)
 
 
 def test_phase_integral_point_masses_only():
-    assert phase_integral((), [(2.0, 0.5), (5.0, 0.0)]).tolist() == [2.0 + 0.5 * 3.0]
+    assert phase_integral((), (((2.0, 0.5), (5.0, 0.0)),)).tolist() == [[2.0 + 0.5 * 3.0]]
     with pytest.raises(ArithmeticError, match="infinite"):
-        phase_integral((), [(2.0, 0.5)])
+        phase_integral((), (((2.0, 0.5),),))
 
 
 def test_phase_window_closed_forms():
     lam, h = 0.8, 1.7
     for s in (0.0, 0.3, -0.2):
-        lst, moment = phase_window(Exponential(lam), s, h)
+        ((lst, moment),) = phase_window(Exponential(lam), s, (h,))
         r = lam + s
         assert lst == pytest.approx(lam / r * -math.expm1(-r * h), rel=1e-13)
         closed = lam * (1.0 - math.exp(-r * h) * (1.0 + r * h)) / r**2
         assert moment == pytest.approx(closed, rel=1e-13)
     d = Erlang(2.0, 3)
-    lst, moment = phase_window(d, 0.0, 4.0)
+    ((lst, moment),) = phase_window(d, 0.0, (4.0,))
     assert lst == pytest.approx(d.cdf(4.0), abs=1e-15)
-    assert phase_window(d, 0.0, 0.0) == (0.0, 0.0)
+    assert phase_window(d, 0.0, (0.0,)) == ((0.0, 0.0),)
 
 
 def test_tracks_are_memoised_and_read_only():
-    lam, edges = 0.3, (0.0, 1.5, 4.0)
+    # one point's edges, and a second point whose repeated edge is a
+    # segment of length 0
+    lam, edges = 0.3, ((0.0, 1.5, 4.0), (0.0, 2.0, 2.0))
     rows, drops = _track(Exponential(lam), edges)
-    assert _track(Exponential(lam), edges) == (rows, drops)
-    assert _track(Exponential(lam), edges)[0][1] is rows[1]
+    assert [r.shape for r in rows] == [(1, 1, 1), (2, 1, 1), (2, 1, 1)]
+    assert [r.shape for r in drops] == [(2, 1, 1), (2, 1, 1)]
+    again = _track(Exponential(lam), edges)
+    assert again == (rows, drops) and again[0][1] is rows[1]
     for r in rows + drops:
         assert not r.flags.writeable
     with pytest.raises(ValueError):
-        rows[1][0] = 1.0
-    assert [float(r[0]) for r in rows] == pytest.approx([math.exp(-lam * a) for a in edges])
-    assert float(drops[1][0]) == pytest.approx(math.exp(-lam * 1.5) - math.exp(-lam * 4.0))
+        rows[1][0, 0, 0] = 1.0
+    for point, cut in enumerate(edges):
+        got = [float(np.broadcast_to(r, (2, 1, 1))[point, 0, 0]) for r in rows]
+        assert got == pytest.approx([math.exp(-lam * a) for a in cut])
+    assert float(drops[1][0, 0, 0]) == pytest.approx(math.exp(-lam * 1.5) - math.exp(-lam * 4.0))
+    assert drops[1][1, 0, 0] == 0.0 and rows[2][1, 0, 0] == rows[1][1, 0, 0]
 
 
 # --- nearly equal rates: references at 60 digits ---------------------------
@@ -343,7 +351,7 @@ def test_segment_exact_at_nearly_equal_rates(d, length):
     with decimal.localcontext() as ctx:
         ctx.prec = 60
         ref = np.array([[float(v) for v in row] for row in _segment_reference(d, length)])
-    E, D = _segment(d, length)
+    E, D = (M[0] for M in _segment(d, np.array([length])))
     assert np.abs(E - ref).max() <= 1e-15
     assert np.abs(D - (np.eye(len(ref)) - ref)).max() <= 1e-15
 
@@ -354,7 +362,7 @@ def test_phase_window_exact_at_nearly_equal_rates(d, s, h):
     with decimal.localcontext() as ctx:
         ctx.prec = 60
         lst_ref, moment_ref = (float(v) for v in _window_reference(d, s, h))
-    lst, moment = phase_window(d, s, h)
+    ((lst, moment),) = phase_window(d, s, (h,))
     assert abs(lst - lst_ref) <= 1e-15
     assert abs(moment - moment_ref) <= 1e-15 * max(1.0, abs(moment_ref))
 
@@ -366,7 +374,7 @@ def test_large_erlang_window_meets_the_conservation_guard():
     with decimal.localcontext() as ctx:
         ctx.prec = 60
         ref = float(_window_reference(d, 0.0, 1000.0)[0])
-    assert abs(phase_window(d, 0.0, 1000.0)[0] - ref) <= 32 * np.finfo(float).eps
+    assert abs(phase_window(d, 0.0, (1000.0,))[0][0] - ref) <= 32 * np.finfo(float).eps
 
 
 def test_taylor_step_matches_scipy_expm(rng):
@@ -381,4 +389,110 @@ def test_taylor_step_matches_scipy_expm(rng):
         segment = np.block([[T, np.eye(n)], [np.zeros((n, 2 * n))]])  # as in _segment
         for M in (T, segment):
             M = M * (rng.uniform(0.01, 2.0) / np.abs(M).sum(axis=0).max())
-            assert np.abs(_taylor_step(M) - expm(M)).max() <= 4e-15
+            assert np.abs(_taylor_step(M[None])[0] - expm(M)).max() <= 4e-15
+
+
+# --- stacked exponentials ----------------------------------------------------
+
+_TAYLOR_2D = np.array([1.0 / math.factorial(k) for k in range(25)]).reshape(5, 5)
+
+
+def _expm_2d(M):
+    """e^M of one upper-triangular matrix: the one-matrix form of the stacked
+    exponential, with its own Taylor step, squaring count and resets."""
+
+    def taylor(M):
+        n = M.shape[0]
+        powers = np.empty((5, n, n))
+        powers[0] = np.eye(n)
+        powers[1] = M
+        for k in range(2, 5):
+            np.matmul(powers[k - 1], M, out=powers[k])
+        M5 = powers[4] @ M
+        blocks = (_TAYLOR_2D @ powers.reshape(5, n * n)).reshape(5, n, n)
+        E = blocks[4]
+        for j in (3, 2, 1, 0):
+            E = M5 @ E
+            E += blocks[j]
+        return E
+
+    norm = np.abs(M).sum(axis=0).max()
+    if norm <= 2.0:
+        return taylor(M)
+    squarings = math.ceil(math.log2(norm / 2.0))
+    scale = 0.5 ** np.arange(squarings, -1, -1.0)[:, None]
+    x = scale * M.diagonal()
+    lo, hi = x[:, :-1], x[:, 1:]
+    gap = np.maximum(np.abs(hi - lo), np.finfo(float).tiny)
+    upper = scale * M.diagonal(1) * np.exp(np.maximum(lo, hi)) * (-np.expm1(-gap) / gap)
+    diagonal = np.exp(x)
+    E = taylor(M * scale[0, 0])
+    n = M.shape[0]
+    for k in range(squarings + 1):
+        if k:
+            E = E @ E
+        flat = E.reshape(-1)
+        flat[:: n + 1] = diagonal[k]
+        flat[1 :: n + 1] = upper[k]
+    return E
+
+
+def _blocks(d, rng):
+    """Segment and window block matrices of ``d`` (as ``_segment`` and
+    ``phase_window`` build them) whose norms need no squaring, a few
+    squarings and many, in shuffled order."""
+    _, T = d.phase_type
+    n = T.shape[0]
+    lengths = [0.0, 1e-3, 0.5, 30.0, 300.0, 1000.0, 9996.9, 1e5, 3e6]
+    segments = []
+    for L in lengths:
+        N = np.zeros((2 * n, 2 * n))
+        N[:n, :n] = T * L
+        N[:n, n:] = np.eye(n)
+        segments.append(N)
+    windows = []
+    for s in (0.0, 1e-3, -1e-4):
+        for h in lengths:
+            Ah = (T - s * np.eye(n)) * h
+            N = np.zeros((2 * n + 1, 2 * n + 1))
+            N[:n, :n] = Ah
+            N[:n, n : 2 * n] = np.eye(n)
+            N[n : 2 * n, n : 2 * n] = Ah
+            N[n : 2 * n, 2 * n] = -T.sum(axis=1) * h
+            windows.append(N)
+    return [np.stack([group[i] for i in rng.permutation(len(group))]) for group in (segments, windows)]
+
+
+@pytest.mark.parametrize("d", NEAR_EQUAL + [Exponential(0.7), Erlang(0.004, 5), Erlang(0.004, 20)])
+def test_stacked_exponential_matches_the_2d_one(d, rng):
+    for stack in _blocks(d, rng):
+        counts = {math.ceil(math.log2(v / 2.0)) if v > 2.0 else None
+                  for v in np.abs(stack).sum(axis=-2).max(axis=-1)}
+        assert None in counts and len(counts) >= 4  # none, some and many squarings
+        E = _expm_triangular(stack)
+        for M, got in zip(stack, E):
+            assert np.array_equal(got, _expm_2d(M))
+        # alone, or in any sub-batch, each matrix gets the same bits
+        assert np.array_equal(_expm_triangular(stack[1::3]), E[1::3])
+        for i in (0, len(stack) - 1):
+            assert np.array_equal(_expm_triangular(stack[i : i + 1])[0], E[i])
+
+
+def test_phase_integral_point_does_not_depend_on_its_batch(rng):
+    laws = (Hypoexponential(0.0013674, 0.0013674 * (1.0 + 1e-12)), Erlang(0.9, 3))
+    # zero, repeated and distinct offsets, two steps per point
+    offsets = [(0.0, 0.0), (0.0, 5.0), (5.0, 5.0), (2.5, 40.0), (40.0, 2.5), (1e4, 0.0)]
+    steps = tuple(((a, 0.4), (b, 0.7)) for a, b in offsets)
+    for chosen in (laws, laws[:1], ()):
+        if not chosen:
+            steps = tuple(((a, 0.4), (b, 0.0)) for a, b in offsets)
+        together = phase_integral(chosen, steps)
+        for i in rng.permutation(len(steps)):
+            assert np.array_equal(phase_integral(chosen, steps[i : i + 1])[0], together[i])
+
+
+def test_phase_window_does_not_depend_on_its_batch():
+    d = Erlang(0.004, 5)
+    lengths = (0.0, 1e-3, 27.0, 300.0, 1e4)
+    together = phase_window(d, 0.0, lengths)
+    assert together == tuple(phase_window(d, 0.0, (h,))[0] for h in lengths)

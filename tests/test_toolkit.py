@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rejuvkit import toolkit
-from rejuvkit.analysis import completion_time, metrics_report
+from rejuvkit.analysis import CompletionNotApplicable, completion_time, metrics_report
 from rejuvkit.config import (
     ConfigError,
     FAMILY_DEFAULTS,
@@ -329,18 +329,19 @@ def test_refined_optima_match_dense_fit():
 
 def test_refined_sweep_evaluates_once_per_metric_beyond_grid(monkeypatch):
     calls = []
-    real = toolkit.metrics_report
+    real = toolkit._reports
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted(ps, *args):
+        calls.append(len(ps))
+        return real(ps, *args)
 
-    monkeypatch.setattr(toolkit, "metrics_report", counted)
+    monkeypatch.setattr(toolkit, "_reports", counted)
     spec = SweepSpec("trigger_interval", 0.0, 50.0, 1.0, metrics=toolkit.METRICS, refine=True)
     _, optima = run_sweep(load_config("preset_f_hypo"), spec)
-    # 51 grid reports serve availability and MTTF; each refines once, and
-    # completion's optimum lies at the grid end, so it is not refined
-    assert len(calls) == 53
+    # 51 grid reports, in one batched pass, serve availability and MTTF;
+    # each refines once, and completion's optimum lies at the grid end, so
+    # it is not refined
+    assert calls == [51, 1, 1]
     assert [optima[m]["refined"] for m in toolkit.METRICS] == [True, True, False]
 
 
@@ -468,6 +469,65 @@ def test_law_valued_a1_writes_nan_in_the_value_column():
     assert all(line.split(",")[1] == "nan" for line in rows_to_csv(rows + sim_rows).splitlines()[1:])
 
 
+def test_law_valued_a1_with_a_workload_analyses_without_completion():
+    # completion needs a plain trigger delay a1; the report resolves it only
+    # where it applies, as the validate battery skips it
+    cfg = load_config("preset_exponential")
+    assert cfg.workload is not None
+    cfg = replace(cfg, params=replace(cfg.params, a1=Exponential(1.0 / 30.0)))
+    report, rows = run_analyze(cfg)
+    assert report.completion_time is None
+    assert [r[2] for r in rows] == ["availability", "mttf"]
+    alone = metrics_report(cfg.params)
+    assert (report.availability, report.mttf) == (alone.availability, alone.mttf)
+    statuses = {name: status for name, status, _ in run_validate(cfg)}
+    assert statuses["completion-conservation"] == "skip"
+    with pytest.raises(CompletionNotApplicable):
+        completion_time(cfg.params, cfg.workload)
+
+
+@pytest.mark.parametrize("tie", ["all", "primary", "backup"])
+def test_sweep_point_does_not_depend_on_its_batch(tie):
+    cfg = load_config("preset_f_hypo")
+    spec = SweepSpec("trigger_interval", 0.0, 50.0, 1.0, metrics=toolkit.METRICS, tie=tie)
+    rows, _ = run_sweep(cfg, spec)
+    got = {(value, m): x for _, value, m, x, *_ in rows}
+    for value in spec.grid():  # trigger 0 included
+        point = apply_variable(cfg, "trigger_interval", value, tie)
+        report = metrics_report(point.params)
+        assert got[value, "availability"] == report.availability
+        assert got[value, "mttf"] == report.mttf
+        assert got[value, "completion"] == completion_time(point.params, point.workload)
+
+
+def test_sweep_in_batched_passes_gives_the_same_rows(monkeypatch):
+    cfg = load_config("preset_f_hypo")
+    spec = SweepSpec("trigger_interval", 0.0, 20.0, 1.0, metrics=toolkit.METRICS, refine=True)
+    rows, optima = run_sweep(cfg, spec)
+    monkeypatch.setattr(toolkit, "_BATCH", 4)  # 21 points: passes of 4, the last of 1
+    chunked, chunked_optima = run_sweep(cfg, spec)
+    assert list(chunked) == list(rows) and chunked_optima == optima
+    assert len(rows) == 63 and rows[-1] == rows[62] and rows[1:3] == [rows[1], rows[2]]
+    assert rows[4] == ("trigger_interval", 1.0, "mttf", rows[4][3], "", "", "")
+    with pytest.raises(IndexError):
+        rows[63]
+
+
+def test_fixing_sweep_point_does_not_depend_on_its_batch():
+    # the fixing laws differ from point to point, so only the rows without
+    # them share a batched evaluation
+    cfg = load_config("preset_f_hypo")
+    spec = SweepSpec("fixing_mean", 0.5, 10.0, 0.5, metrics=toolkit.METRICS)
+    rows, _ = run_sweep(cfg, spec)
+    got = {(value, m): x for _, value, m, x, *_ in rows}
+    for value in spec.grid():
+        point = apply_variable(cfg, "fixing_mean", value)
+        report = metrics_report(point.params, point.workload)
+        assert got[value, "availability"] == report.availability
+        assert got[value, "mttf"] == report.mttf
+        assert got[value, "completion"] == report.completion_time
+
+
 def test_run_simulate_agreement_and_determinism():
     cfg = f_hypo_config()
     sim = SimConfig(replications=40, seed=4242, horizon=4e4, warmup=1e3)
@@ -580,8 +640,8 @@ def test_analyze_then_validate_computes_each_window_once(monkeypatch):
     real = numerics._expm_triangular
 
     def recorded(M):
-        if M.shape[0] % 2:  # a window's block matrix has odd order 2n + 1
-            built.append(M.tobytes())
+        if M.shape[-1] % 2:  # a window's block matrix has odd order 2n + 1
+            built.extend(m.tobytes() for m in M)  # each matrix of the stack
         return real(M)
 
     monkeypatch.setattr(numerics, "_expm_triangular", recorded)
