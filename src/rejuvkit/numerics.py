@@ -120,7 +120,7 @@ def _taylor_step(M):
     powers[:, 0] = np.eye(n)
     powers[:, 1] = M
     for k in range(2, 5):
-        np.matmul(powers[:, k - 1], M, out=powers[:, k])
+        powers[:, k] = powers[:, k - 1] @ M
     M5 = powers[:, 4] @ M
     blocks = (_TAYLOR @ powers.reshape(b, 5, n * n)).reshape(b, 5, n, n)
     E = blocks[:, 4]
@@ -161,15 +161,14 @@ def _expm_triangular(M):
 def _squared(M, counts):
     """:func:`_expm_triangular` of a stack ordered by squaring ``counts``
     (-1 for none), most first."""
-    if counts[0] == counts[-1]:
-        scale = 0.5 ** max(counts[0], 0)
+    if counts[0] == counts[-1]:  # one count: a scalar scale, none at all below 1
+        E = _taylor_step(M if counts[0] <= 0 else M * 0.5 ** counts[0])
     else:
-        scale = np.array([0.5 ** max(c, 0) for c in counts])[:, None, None]
-    E = _taylor_step(M * scale)
+        E = _taylor_step(M * np.array([0.5 ** max(c, 0) for c in counts])[:, None, None])
     if counts[0] < 0:
         return E
     scale = 0.5 ** np.arange(counts[0], -1, -1.0)[:, None, None]
-    x = scale * M.diagonal(axis1=-2, axis2=-1)
+    x = scale * M.diagonal(0, -2, -1)
     lo, hi = x[..., :-1], x[..., 1:]
     # a zero gap reads as the smallest normal one: the quotient is then 1
     gap = np.maximum(np.abs(hi - lo), _TINY)
