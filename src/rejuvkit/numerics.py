@@ -16,14 +16,14 @@ BLAS call, on the same shapes, that a single point makes, so a point's
 value does not depend on the batch it is solved in.
 
 The memos of exact work all live here, as bounded LRU caches keyed by
-value, and the arrays they hold are read-only: ``_term_solution`` (256
-entries; it depends on the laws only, so a trigger sweep shares it),
-``_segments`` (32: the segment edges and weights of one row's steps at
-each point of a batch, shared by the products of the row), ``_track``
-(32: a law's row vectors at those edges, shared by the products of a row
-and by a repeated build) and ``phase_window`` (32: a law's windows at one
-transform argument, for each window length of a batch; a repeated
-completion evaluation meets them again).
+value, and the arrays they hold are read-only: ``_term_solution`` and
+``_whole`` (256 entries each; they depend on the laws only, so a trigger
+sweep shares them), ``_segments`` (32: the segment edges and weights of
+one row's steps at each point of a batch, shared by the products of the
+row), ``_track`` (32: a law's row vectors at those edges, shared by the
+products of a row and by a repeated build) and ``phase_window`` (32: a
+law's windows at one transform argument, for each window length of a
+batch; a repeated completion evaluation meets them again).
 """
 
 from __future__ import annotations
@@ -210,19 +210,25 @@ def _segment(d, lengths):
 # depends on the laws, not the trigger offsets: a trigger sweep shares it
 @functools.lru_cache(maxsize=256)
 def _term_solution(laws):
-    """(x, R(0)) of one product of ``laws``: x = (-K)^{-1} V, V stacking one
-    exit vector on each axis in turn (unit vectors on the rest), then unit
-    vectors only, and R(0) = (alpha_1 (x) ... (x) alpha_m) . x, the
-    integrals over [0, inf) with no step, as a (1, m + 1) row."""
+    """x = (-K)^{-1} V of one product of ``laws``, V stacking one exit vector
+    on each axis in turn (unit vectors on the rest), then unit vectors only."""
     generators = [d.phase_type[1] for d in laws]
     V = np.ones(tuple(T.shape[0] for T in generators) + (len(laws) + 1,))
     for k, T in enumerate(generators):
         V[..., k] *= -T.sum(axis=1).reshape((-1,) + (1,) * (len(laws) - k - 1))
     x = kron_sum_solve(generators, V)
-    whole = _contract([d.phase_type[0].reshape(1, 1, -1) for d in laws], x)
     x.setflags(write=False)
-    whole.setflags(write=False)
-    return x, whole
+    return x
+
+
+# half the rows of a kernel have no step: their integrals depend on the laws only
+@functools.lru_cache(maxsize=256)
+def _whole(laws):
+    """R(0) = (alpha_1 (x) ... (x) alpha_m) . x of one product of ``laws``: its
+    integrals over [0, inf) with no step, as a read-only (1, m + 1) row."""
+    r = _contract([d.phase_type[0].reshape(1, 1, -1) for d in laws], _term_solution(laws))
+    r.setflags(write=False)
+    return r
 
 
 # the products of a row, and a repeated build, meet each (law, edges) pair again
@@ -299,11 +305,11 @@ def phase_integral(laws, steps) -> np.ndarray:
                 acc = acc + w * (cut[:, i + 1, None] - cut[:, i, None])
         return acc
 
-    x, whole = _term_solution(laws)
     acc = np.zeros((len(edges), len(laws) + 1))
     if len(weights) == 1:  # no step at any point: R(0), the same at each
-        acc += weights[0] * whole
+        acc += weights[0] * _whole(laws)
         return acc
+    x = _term_solution(laws)
     rows, drops = zip(*(_track(d, edges) for d in laws))
     for i, w in enumerate(weights):
         if w is None:

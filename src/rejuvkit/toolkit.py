@@ -191,6 +191,9 @@ class _SweepRows:
         value, analytic = float(self._grid[point]), float(self._values[point, m])
         return (self._variable, value, self._metrics[m], analytic, "", "", "")
 
+    def __eq__(self, other):  # as a list of the rows would compare
+        return list(self) == list(other)
+
 
 def run_sweep(cfg: RunConfig, spec: SweepSpec):
     """(CSV rows, optimum records) over the sweep grid.

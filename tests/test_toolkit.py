@@ -506,7 +506,7 @@ def test_sweep_in_batched_passes_gives_the_same_rows(monkeypatch):
     rows, optima = run_sweep(cfg, spec)
     monkeypatch.setattr(toolkit, "_BATCH", 4)  # 21 points: passes of 4, the last of 1
     chunked, chunked_optima = run_sweep(cfg, spec)
-    assert list(chunked) == list(rows) and chunked_optima == optima
+    assert chunked == rows == list(rows) and chunked_optima == optima
     assert len(rows) == 63 and rows[-1] == rows[62] and rows[1:3] == [rows[1], rows[2]]
     assert rows[4] == ("trigger_interval", 1.0, "mttf", rows[4][3], "", "", "")
     with pytest.raises(IndexError):
