@@ -192,6 +192,8 @@ class _SweepRows:
         return (self._variable, value, self._metrics[m], analytic, "", "", "")
 
     def __eq__(self, other):  # as a list of the rows would compare
+        if not isinstance(other, (list, _SweepRows)):
+            return NotImplemented
         return list(self) == list(other)
 
 
