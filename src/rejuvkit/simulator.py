@@ -5,7 +5,8 @@ simulated as a race of competing events (one duration sampled per armed
 event, minimum wins); a phase-type duration is one exponential draw per
 phase, summed.  Every entry to state 0 is a Markov-renewal epoch, so a
 replication is a run of i.i.d. segments: availability cycles (state 0 to
-its next entry), MTTF excursions (to that entry or a failed state), and
+its next entry; availability is the ratio of up-hours to hours over
+whole cycles), MTTF excursions (to that entry or a failed state), and
 completion walks over the cases until an attempt completes.  Segments
 are walked in numpy batches, in lockstep, with each state's races and
 each case's attempts drawn in blocks.  Each estimate draws from one
@@ -52,7 +53,7 @@ class SimConfig:
     replications: int
     seed: int
     horizon: float = 1e5  # simulated hours per availability replication
-    warmup: float = 0.0  # discarded before availability accounting
+    warmup: float = 0.0  # availability counts the cycles that start from here on
 
     def __post_init__(self):
         if self.replications < 2:
@@ -71,9 +72,16 @@ class Estimate:
     ci_high: float
     replications: int
     truncated: int = 0  # replications censored at the guard horizon
+    failures: int = 0  # failed-state visits (availability), failed replications (mttf)
 
     def contains(self, value: float) -> bool:
         return self.ci_low <= value <= self.ci_high
+
+    @property
+    def rel_half_width(self) -> float:
+        """The CI half-width over the mean; for availability, over the unavailability."""
+        scale = 1.0 - self.mean if self.metric == "availability" else self.mean
+        return 0.5 * (self.ci_high - self.ci_low) / abs(scale) if scale else math.inf
 
 
 def _rng(seed: int, tag: int, point: int) -> np.random.Generator:
@@ -144,13 +152,16 @@ def _t975(df: int) -> float:
     return t
 
 
-def _estimate(metric, values, truncated=0) -> Estimate:
+def _estimate(metric, values, truncated=0, failures=0, per=None) -> Estimate:
+    """A 95% t-interval for the mean of the per-replication ``values``, or given ``per``
+    for sum(values) / sum(per), by the delta method: deviations values - ratio per."""
     values = np.asarray(values, dtype=float)
     n = values.size
-    mean = float(values.mean())
-    spread = float(values.std(ddof=1))
+    mean = float(values.mean() if per is None else values.sum() / per.sum())
+    deviations = values if per is None else (values - mean * per) / per.mean()
+    spread = float(deviations.std(ddof=1))
     half = _t975(n - 1) * spread / math.sqrt(n) if spread > 0.0 else 0.0
-    return Estimate(metric, mean, mean - half, mean + half, n, truncated)
+    return Estimate(metric, mean, mean - half, mean + half, n, truncated, failures)
 
 
 def _races(events, rng, n):
@@ -193,36 +204,37 @@ def _walk(draws, state, stops, limit):
 
     Each step sorts the live walks by state and takes each state's steps in one
     call, ``draws[k](count)`` -> (hours, next states).  Returns the hours (capped
-    at limit), the last states and each stay in a failed state as (walk, hours
-    at entry, duration).  An endless race (state -1) stops by the limit."""
+    at limit), the last states and the walks that visit state 10, then 11, once
+    per visit.  An endless race (state -1) stops by the limit."""
     hours, live = np.zeros(state.size), np.arange(state.size)
-    stays = [(live[:0], hours[:0], hours[:0])]
+    failed = [(live[:0], live[:0])]
     while live.size:
         live = live[state[live].argsort(kind="stable")]
         counts = np.bincount(state[live]).tolist()
         dt, nxt = map(np.concatenate, zip(*(draws[k](m) for k, m in enumerate(counts) if m)))
-        if len(counts) > _FAILED:  # walks in failed states sort last
-            down = slice(sum(counts[:_FAILED]), None)
-            stays.append((live[down], hours[live[down]], dt[down]))
-        hours[live] += dt
+        if len(counts) > _FAILED:  # walks in failed states sort last, 10 before 11
+            at, m = sum(counts[:_FAILED]), counts[_FAILED]
+            failed.append((live[at : at + m], live[at + m :]))
+        hours[live] = now = hours[live] + dt
         state[live] = nxt
-        live = live[~stops[nxt] & (hours[live] < limit)]
-    return np.minimum(hours, limit), state, map(np.concatenate, zip(*stays))
+        live = live[~stops[nxt] & (now < limit)]
+    return np.minimum(hours, limit), state, map(np.concatenate, zip(*failed))
 
 
-def _runs(draws, n, stops, final, limit, start=None):
-    """The first n replications: their hours, capped at limit, and their stays.
+def _runs(draws, n, stops, final, limit, start=None, warmup=None):
+    """The first n replications: their hours, capped at limit, and (3, n) sums.
 
     Segments are walks from state 0, or from ``start(size)``, in batches that double
     from FIRST_BATCH to MAX_BATCH: the first k replications do not depend on n.  A
     replication takes segments until one ends in a ``final`` state or its hours reach
-    limit.  Failed stays: (replication, start, duration), from a cumsum per batch."""
-    hours, stays = [], []
+    limit.  Given warmup, the sums are of hours, visits to state 10 and to 11, over
+    each replication's walks that start from warmup on."""
+    hours, sums = [], np.zeros((3, n + 1))
     closed, carry = 0, 0.0  # replications closed; hours of the open one
     for b in itertools.count():
         size = min(FIRST_BATCH << b, MAX_BATCH)
         state = np.zeros(size, np.int8) if start is None else start(size)
-        seg_hours, last, (seg, offset, duration) = _walk(draws, state, stops, limit)
+        seg_hours, last, visits = _walk(draws, state, stops, limit)
         # clock: each segment's start; segment 0 holds the open replication's hours
         clock = np.concatenate(([0.0, carry], seg_hours)).cumsum()
         ends = np.flatnonzero(np.append(False, final[last]))
@@ -230,33 +242,39 @@ def _runs(draws, n, stops, final, limit, start=None):
         base = clock[np.append(0, ends + 1)]
         long, cuts = np.flatnonzero(clock[tail + 1] - base >= limit).tolist(), []
         for g in long:  # close at each first segment ending at or past start + limit
-            while (k := int(clock.searchsorted(base[g] + limit))) <= tail[g] + 1:
+            at, last_end = base[g], tail[g] + 1
+            while (k := clock.searchsorted(at + limit)) <= last_end:
                 cuts.append(k - 1)
-                base[g] = clock[k]
+                at = clock[k]
         ends = np.array(sorted({*ends.tolist(), *cuts})) if cuts else ends
         base = clock[np.append(0, ends + 1)]  # where each replication starts
         hours.append(clock[ends + 1] - base[:-1])
-        rep = np.searchsorted(ends, seg + 1)
-        stays.append((closed + rep, clock[seg + 1] - base[rep] + offset, duration))
+        if warmup is not None:  # each walk's replication, n if uncounted or past n
+            rep = np.searchsorted(ends, np.arange(1, size + 1))
+            rep = np.where(clock[1:-1] - base[rep] < warmup, n, np.minimum(closed + rep, n))
+            sums[0] += np.bincount(rep, seg_hours, n + 1)
+            sums[1:] += [np.bincount(rep[v], None, n + 1) for v in visits]
         closed += ends.size
         carry = clock[-1] - base[-1]
         if closed >= n:
-            return np.minimum(np.concatenate(hours)[:n], limit), map(np.concatenate, zip(*stays))
+            return np.minimum(np.concatenate(hours)[:n], limit), sums[:, :n]
 
 
 def simulate_availability(p: ModelParams, c: SimConfig, point: int = 0) -> Estimate:
-    """Up-time fraction between warmup and horizon, averaged across replications.
+    """Up-hours over hours, summed over whole cycles, with a delta-method interval.
 
-    A replication, a run of cycles from state 0 to its next entry, sums the
-    (rare) downtime and returns its complement: exact when no failure ever
-    fires, and better conditioned.  ``point`` selects the stream of a study's point."""
-    rng = _rng(c.seed, _TAG_AVAILABILITY, point)
-    draws = [_pooled(rng, _races, events) for events in state_events(p)]
-    states = np.arange(len(draws))
-    _, (rep, start, duration) = _runs(draws, c.replications, states == 0, states < 0, c.horizon)
-    overlap = np.minimum(start + duration, c.horizon) - np.maximum(start, c.warmup)
-    down = np.bincount(rep, np.maximum(overlap, 0.0), c.replications)[: c.replications]
-    return _estimate("availability", 1.0 - down / (c.horizon - c.warmup))
+    A replication runs cycles from state 0 until its hours reach the horizon, and
+    counts those that start from the warm-up on.  A visit to state 10 or 11 is down
+    for the mean of the one law it races, not its sampled stay (conditional Monte
+    Carlo).  ``point`` selects the stream of a study's point."""
+    rng, events, n = _rng(c.seed, _TAG_AVAILABILITY, point), state_events(p), c.replications
+    states = np.arange(len(events))
+    draws = [_pooled(rng, _races, row) for row in events]
+    _, (hours, *visits) = _runs(draws, n, states == 0, states < 0, c.horizon, None, c.warmup)
+    if not hours.any():
+        raise ValueError(f"no cycle starts between warmup {c.warmup} and horizon {c.horizon}")
+    down = np.dot([ev.dist.mean() for (ev,) in events[_FAILED:]], visits)
+    return _estimate("availability", hours - down, failures=int(np.sum(visits)), per=hours)
 
 
 def simulate_mttf(p: ModelParams, c: SimConfig, point: int = 0) -> Estimate:
@@ -267,7 +285,8 @@ def simulate_mttf(p: ModelParams, c: SimConfig, point: int = 0) -> Estimate:
     states = np.arange(len(draws))
     failed = states >= _FAILED
     hours, _ = _runs(draws, c.replications, failed | (states == 0), failed, GUARD_HORIZON)
-    return _estimate("mttf", hours, int(np.count_nonzero(hours >= GUARD_HORIZON)))
+    truncated = int(np.count_nonzero(hours >= GUARD_HORIZON))
+    return _estimate("mttf", hours, truncated, hours.size - truncated)
 
 
 def _attempts(case, restart, rng, n):

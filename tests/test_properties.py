@@ -9,10 +9,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rejuvkit import KERNEL_TARGETS, Deterministic, Erlang, Exponential, Hypoexponential
-from rejuvkit import WorkloadSpec, completion_time, metrics_report, scale_time, transition_matrix
+from rejuvkit import WorkloadSpec, completion_time, metrics_report, scale_time, state_events
+from rejuvkit import transition_matrix
 from rejuvkit.analysis import CompletionDivergenceError, completion_cases
 from rejuvkit.ctmc import availability_ctmc, mttf_ctmc
 from rejuvkit.distributions import from_json, to_json
+from rejuvkit.model import _Event
 from tests.conftest import make_params
 
 # derandomized: the suite stays reproducible and needs no example database
@@ -127,6 +129,31 @@ def test_kernel_rows_property(trigger, c, aging, failure, fixing, reboot, migrat
     assert (P >= 0.0).all()
     for i, allowed in KERNEL_TARGETS.items():
         assert all(P[i, j] == 0.0 for j in range(12) if j not in allowed), i
+
+
+@KERNEL
+@given(
+    trigger=st.one_of(st.just(0.0), st.floats(0.0, 60.0)),
+    c=BRANCHES,
+    aging=laws(0.5, 3.2, deterministic=False),
+    failure=laws(0.5, 3.2, deterministic=False),
+    fixing=laws(-1.0, 1.0),
+    fixing_backup=laws(-1.0, 1.0),
+    a1=st.one_of(st.floats(0.0, 60.0), laws(0.0, 2.0, deterministic=False)),
+)
+def test_failed_states_race_one_unthinned_law_property(
+    trigger, c, aging, failure, fixing, fixing_backup, a1
+):
+    # simulate_availability credits each visit to state 10 or 11 the mean of
+    # that state's law: exact only while the stay is that one law's draw
+    p = make_params(
+        trigger=trigger, c=c, aging=aging, failure=failure, fixing=fixing,
+        fixing_backup=fixing_backup, a1=a1,
+    )
+    assert state_events(p)[10:] == [
+        [_Event(p.fixing_primary, 1.0, 0)],
+        [_Event(p.fixing_backup, 1.0, 7)],
+    ]
 
 
 # --- metrics over random families and workloads ----------------------------

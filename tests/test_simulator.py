@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import rejuvkit.model as model
 import rejuvkit.simulator as sim
 from rejuvkit import (
     Deterministic,
@@ -18,7 +19,7 @@ from rejuvkit import (
     state_events,
 )
 from rejuvkit.analysis import completion_cases, metrics_report
-from rejuvkit.config import load_config
+from rejuvkit.config import bundled_config_names, load_config
 from rejuvkit.model import _Event, sojourn_times, transition_matrix
 from rejuvkit.toolkit import apply_variable
 from tests.conftest import make_params
@@ -54,11 +55,12 @@ def test_no_failures_availability_is_one():
     assert est.mean == 1.0 and est.ci_low == 1.0 and est.ci_high == 1.0
 
 
-def test_availability_clips_cycles_to_warmup_and_horizon():
+def test_availability_counts_whole_cycles_from_warmup():
     # aging after exactly 4 h, failure 6 h later, repair in 2 h: 12 h
-    # cycles, each down over [10, 12).  Over [11, 95] a replication is down
-    # 1 + 6 x 2 + 1 = 14 h: both clips cut a stay.  8 replications, so the
-    # mean of equal values is exact.
+    # cycles, each down over [10, 12).  A replication runs the cycles that
+    # start at 0, 12, ..., 84, the last one ending past the 95 h horizon,
+    # and counts the 7 that start from the 11 h warm-up on, whole: 84 h,
+    # 14 h down.  8 replications, so every ratio and sum is exact.
     p = make_params(
         aging=Deterministic(4.0),
         failure=Deterministic(6.0),
@@ -69,6 +71,61 @@ def test_availability_clips_cycles_to_warmup_and_horizon():
     est = simulate_availability(p, SimConfig(replications=8, seed=5, horizon=95.0, warmup=11.0))
     assert est.mean == 1.0 - 14.0 / 84.0
     assert est.ci_low == est.ci_high == est.mean
+    assert est.failures == 8 * 7
+
+
+def test_availability_credits_a_failed_visit_its_laws_mean(monkeypatch):
+    # the 12 h cycles above, with the fixing law's mean() reporting 3 h while
+    # its draws stay 2 h: each counted cycle lasts 12 h and is down 3 h.  The
+    # kernel, and with it sojourn_times, is switched off: the oracle shares
+    # none of the analytic engine's code.
+    def switched_off(*args):
+        raise AssertionError("the simulator used the analytic kernel")
+
+    monkeypatch.setattr(model, "_kernel", switched_off)
+    monkeypatch.setattr(Deterministic, "mean", lambda d: 3.0 if d.offset == 2.0 else d.offset)
+    p = make_params(
+        aging=Deterministic(4.0),
+        failure=Deterministic(6.0),
+        fixing=Deterministic(2.0),
+        trigger=1e5,
+        c=(1.0, 0.0, 0.0),
+    )
+    est = simulate_availability(p, SimConfig(replications=8, seed=5, horizon=95.0, warmup=11.0))
+    assert est.mean == 1.0 - 21.0 / 84.0
+
+
+@pytest.mark.parametrize("name", bundled_config_names())
+def test_failed_states_race_one_unthinned_law(name):
+    # the premise of that credit: a failed state's stay is one unthinned law's draw
+    p = load_config(name).params
+    assert state_events(p)[10:] == [
+        [_Event(p.fixing_primary, 1.0, 0)],
+        [_Event(p.fixing_backup, 1.0, 7)],
+    ]
+
+
+def test_estimate_reports_failures_and_relative_half_width():
+    # built positionally with 5 fields, as perfbench's gate builds it
+    est = sim.Estimate("availability", 0.99, 0.985, 0.995, 1000)
+    assert (est.truncated, est.failures) == (0, 0)
+    assert est.rel_half_width == pytest.approx(0.5)
+    assert sim.Estimate("mttf", 200.0, 190.0, 210.0, 10).rel_half_width == 0.05
+    assert sim.Estimate("availability", 1.0, 1.0, 1.0, 10).rel_half_width == math.inf
+    p = make_params()
+    est = simulate_mttf(p, SimConfig(replications=50, seed=3))
+    assert est.failures == 50 - est.truncated == 50
+    est = simulate_availability(p, SimConfig(replications=50, seed=3, horizon=2e4))
+    assert est.failures > 0
+    assert est.rel_half_width == (est.ci_high - est.ci_low) / (2.0 * (1.0 - est.mean))
+
+
+def test_availability_without_a_counted_cycle_is_refused():
+    # a first cycle of ~1e9 h, cut at the 1e4 h horizon, starts before the
+    # warm-up in every replication: no cycle is counted, and no ratio exists
+    p = make_params(aging=Exponential(1e-9))
+    with pytest.raises(ValueError, match="no cycle starts between warmup 100.0"):
+        simulate_availability(p, SimConfig(replications=4, seed=1, horizon=1e4, warmup=100.0))
 
 
 def test_degenerate_mttf_path():
@@ -131,27 +188,37 @@ def _outcomes(events, rng):
 
 
 def _downtime(races, horizon, warmup):
-    """Hours spent in the failed states 10 and 11 between warmup and horizon."""
-    down = 0.0
-    t = 0.0
-    state = 0
+    """(hours, hours in the failed states 10 and 11) of a run's whole cycles
+    that start from warmup on.
+
+    The run takes cycles from state 0 until its hours reach horizon; a cycle
+    ends on its next entry to state 0, or once its own hours reach horizon.
+    Each stay in a failed state counts as sampled."""
+    hours = down = t = 0.0
     while t < horizon:
-        dt, nxt = next(races[state])
-        if state >= 10:
-            overlap = min(t + dt, horizon) - max(t, warmup)
-            if overlap > 0.0:
-                down += overlap
-        t += dt  # inf, when every armed event declines, ends the run
-        state = nxt
-    return down
+        length = stay = 0.0
+        state = 0
+        while length < horizon:
+            dt, nxt = next(races[state])
+            stay += dt if state >= 10 else 0.0
+            length += dt  # inf, when every armed event declines, ends the run
+            state = nxt
+            if state == 0:
+                break
+        length = min(length, horizon)
+        if t >= warmup:
+            hours += length
+            down += stay
+        t += length
+    return hours, down
 
 
 def scalar_availability(p, c):
     rng = sim._rng(c.seed, sim._TAG_AVAILABILITY, 0)
     races = [_outcomes(events, rng) for events in state_events(p)]
-    span = c.horizon - c.warmup
-    down = [_downtime(races, c.horizon, c.warmup) for _ in range(c.replications)]
-    return sim._estimate("availability", [1.0 - d / span for d in down])
+    runs = [_downtime(races, c.horizon, c.warmup) for _ in range(c.replications)]
+    hours, down = np.array(runs).T
+    return sim._estimate("availability", hours - down, per=hours)
 
 
 def scalar_mttf(p, c):
@@ -245,7 +312,8 @@ def test_race_ties_go_to_the_earlier_event(draw):
 def test_batched_estimates_match_the_per_event_walkers(name, trigger):
     # independent streams: the batched walker at seed 3, the per-event
     # walkers at seed 4; each metric's two means lie within 4 combined
-    # standard errors
+    # standard errors.  The per-event availability walker samples every
+    # failed stay, where the batched one credits each its law's mean.
     cfg = load_config(name)
     if trigger is not None:
         cfg = apply_variable(cfg, "trigger_interval", trigger)
@@ -274,7 +342,11 @@ def test_replications_are_a_stable_prefix(monkeypatch):
     batches = []
     walk = sim._walk
     monkeypatch.setattr(
-        sim, "_estimate", lambda metric, values, truncated=0: seen.append(list(values))
+        sim,
+        "_estimate",
+        lambda metric, values, truncated=0, failures=0, per=None: seen.append(
+            list(values if per is None else zip(values, per))
+        ),
     )
     monkeypatch.setattr(sim, "_walk", lambda *args: batches.append(1) or walk(*args))
     p = make_params()
@@ -342,14 +414,15 @@ def test_availability_ci_coverage():
     assert 930 <= hits <= 970
 
 
-def test_availability_start_transient_is_visible():
-    # Without a warm-up, the start in state 0 (aged only after a wait)
-    # biases a 3e4 h run's availability high.  A regenerative estimator,
-    # which has no start transient, should flip this test.
+def test_availability_has_no_start_transient():
+    # Without a warm-up a replication starts in state 0, aged only after a
+    # wait: a fixed window from time 0 would see too little downtime.  The
+    # ratio over whole regenerative cycles has no start transient, so even
+    # the narrow interval of 60,000 short runs lies within 2 half-widths.
     p = make_params()
     est = simulate_availability(p, SimConfig(replications=60_000, seed=808, horizon=3e4))
     half = (est.ci_high - est.ci_low) / 2.0
-    assert est.mean - availability(p) > 2.0 * half
+    assert abs(est.mean - availability(p)) <= 2.0 * half
 
 
 def simulate_occupancy(p, c, tag=4):
@@ -391,7 +464,7 @@ def test_guard_horizon_truncation_reported(monkeypatch):
     monkeypatch.setattr(sim, "GUARD_HORIZON", 5000.0)
     p = make_params(failure=NEVER)  # absorption unreachable
     est = simulate_mttf(p, SimConfig(replications=4, seed=17))
-    assert est.truncated == 4
+    assert est.truncated == 4 and est.failures == 0
     assert est.mean == 5000.0
 
 
