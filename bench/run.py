@@ -47,7 +47,7 @@ SWEEP_ARGS = ["--var", "trigger_interval", "--from", "0", "--to", "50", "--step"
               "--metrics", ",".join(METRICS)]
 UNITS = {
     "import": "s", "parse": "ms", "kernel": "ms", "sojourn": "ms", "stationary": "ms",
-    "visits": "ms", "completion": "ms", "sim_per_1k_reps": "s", "sweep51": "s",
+    "visits": "ms", "completion": "ms", "sim_per_1k_reps": "s", "sim_s_1pct": "s", "sweep51": "s",
     "sweep51_refine": "s", "cli_<subcommand>": "s", "pytest_wall": "s", "src_lines": "lines",
 }
 
@@ -100,10 +100,14 @@ def layers():
             sweep_cfg.params, sweep_cfg.workload, c
         ),
     }
-    out["sim_per_1k_reps"] = {
-        m: round(1e3 / SIM_REPS[m] * best(lambda: drivers[m](simulator.SimConfig(SIM_REPS[m], 5))), 4)
-        for m in METRICS
-    }
+    # sim_s_1pct: the time of one estimate to a 1% relative half-width,
+    # taking n proportional to 1 / half-width^2, as perfbench projects it
+    out["sim_per_1k_reps"], out["sim_s_1pct"] = {}, {}
+    for m in METRICS:
+        sim = simulator.SimConfig(SIM_REPS[m], 5)
+        seconds = best(lambda: drivers[m](sim))
+        out["sim_per_1k_reps"][m] = round(1e3 / SIM_REPS[m] * seconds, 4)
+        out["sim_s_1pct"][m] = round(seconds * (drivers[m](sim).rel_half_width / 0.01) ** 2, 5)
     for key, refine in (("sweep51", False), ("sweep51_refine", True)):
         spec = toolkit.SweepSpec("trigger_interval", 0.0, 50.0, 1.0, METRICS, refine=refine)
         out[key] = round(best(lambda: toolkit.run_sweep(sweep_cfg, spec), cold), 4)

@@ -9,11 +9,32 @@ its next entry; availability is the ratio of up-hours to hours over
 whole cycles), MTTF excursions (to that entry or a failed state), and
 completion walks over the cases until an attempt completes.  Segments
 are walked in numpy batches, in lockstep, with each state's races and
-each case's attempts drawn in blocks.  Each estimate draws from one
-stream keyed by (seed, metric, point), its batches in order: results are
-reproducible, and the first k replications are the same whatever the
-total.  Parameter sets, workloads and :class:`SimConfig` check
-themselves when they are built.
+each case's attempts drawn in blocks.
+
+Three credits replace draws by their conditional expectations
+(conditional Monte Carlo; Asmussen & Glynn 2007, Stochastic Simulation,
+V.4), while the walk still follows what it drew:
+
+- a race credits its failure event's chance to win given the durations
+  it drew, its arming draws integrated out.  Availability counts each
+  credit as down for the mean of the failed state's law, and MTTF is the
+  ratio E[T] = E[L] / p of hours to credits over the excursions;
+- a state raced by one unthinned law draws nothing and stays that law's
+  mean;
+- a failed completion attempt's restart overhead and fresh aging onset
+  take their laws' means.
+
+Each credit is the expectation of what it replaces given everything the
+walk drew before it, and whether a segment is counted depends only on
+the segments before it, so every ratio and mean keeps its limit.  A race
+credits its failure only if the failure would come before the walk's
+limit (the horizon, or the guard), as those are the failures the walk
+can meet: a run whose failure laws cannot fire by then reads an
+availability of exactly 1.  Each
+estimate draws from one stream keyed by (seed, metric, point), its
+batches in order: results are reproducible, and the first k replications
+are the same whatever the total.  Parameter sets, workloads and
+:class:`SimConfig` check themselves when they are built.
 """
 
 from __future__ import annotations
@@ -71,8 +92,12 @@ class Estimate:
     ci_low: float
     ci_high: float
     replications: int
-    truncated: int = 0  # replications censored at the guard horizon
-    failures: int = 0  # failed-state visits (availability), failed replications (mttf)
+    # replications censored at the guard horizon; for availability, the
+    # counted cycles cut at the horizon
+    truncated: int = 0
+    # sampled failed-state visits (availability), failed replications (mttf):
+    # the events the credits stand in for
+    failures: int = 0
 
     def contains(self, value: float) -> bool:
         return self.ci_low <= value <= self.ci_high
@@ -164,22 +189,108 @@ def _estimate(metric, values, truncated=0, failures=0, per=None) -> Estimate:
     return Estimate(metric, mean, mean - half, mean + half, n, truncated, failures)
 
 
-def _races(events, rng, n):
-    """n independent races of one state: (sojourns, next states) as arrays.
+def _outcomes(events, rng, n):
+    """n independent races of one state: their sojourns and next states, and
+    each event's drawn durations.
 
     Events draw n durations each in priority order, then n arming draws
     if thinned; a strict ``<`` gives ties to the earlier event.  A race
-    no armed event enters lasts forever and leads to state -1.
-    """
+    no armed event enters lasts forever and leads to state -1."""
     best = np.full(n, math.inf)
     target = np.full(n, -1, np.int8)
+    drawn = []
     for ev in events:
         d = ev.dist.sample(rng, n)
+        drawn.append(d)
         if ev.thin < 1.0:
-            d[rng.random(n) >= ev.thin] = math.inf
+            d = np.where(rng.random(n) < ev.thin, d, math.inf)
         target[d < best] = ev.target
         np.minimum(best, d, out=best)
-    return best, target
+    return best, target, drawn
+
+
+def _races(events, rng, n):
+    """n independent races of one state: (sojourns, next states, failure credits,
+    failure durations) as arrays.
+
+    The failure event is the one that enters state 10 or 11.  Its credit
+    is the chance, given the drawn durations, that it wins, the arming
+    draws integrated out: its own arming chance c_f times 1 - c_k for each
+    event k that beats it (sooner, or as soon and listed earlier), so 0
+    once an unthinned event beats it: where no event is thinned, the drawn
+    outcome."""
+    best, target, drawn = _outcomes(events, rng, n)
+    f = next((k for k, ev in enumerate(events) if ev.target >= _FAILED), None)
+    if f is None:
+        return best, target, np.zeros(n), best
+    credit = np.full(n, events[f].thin)
+    for k, ev in enumerate(events):
+        if k != f and ev.thin > 0.0:
+            beats = drawn[k] <= drawn[f] if k < f else drawn[k] < drawn[f]
+            np.multiply(credit, 1.0 - ev.thin, out=credit, where=beats)
+    return best, target, credit, drawn[f]
+
+
+def _single(events):
+    """Whether a state is raced by one unthinned law."""
+    return len(events) == 1 and events[0].thin == 1.0
+
+
+def _draw(events, down, passes, rng, n):
+    """n steps of one state for a walk: (hours, next states), and for a race with
+    a thinned event the credits it adds to the walk's drawn failures, with the
+    failure durations.
+
+    A state raced by one unthinned law draws nothing: it stays that law's
+    mean, which is the expectation of the stay it would draw.  The walk
+    meets its drawn failures itself, as visits to state 10 or 11 or as an
+    excursion's end, so a race without a thinned event (``down`` None)
+    adds nothing, its credit being its outcome; one with a thinned event
+    adds its credit less its outcome, times ``down``.  Given ``passes``,
+    (hours, states) per state, a step into a state goes on to the state it
+    passes to, adding those hours."""
+    if _single(events):
+        steps = np.full(n, events[0].dist.mean()), np.full(n, events[0].target, np.int8)
+    elif down is None:
+        steps = _outcomes(events, rng, n)[:2]
+    else:
+        sojourns, nxt, credit, reach = _races(events, rng, n)
+        steps = sojourns, nxt, down * (credit - (nxt >= _FAILED)), reach
+    if passes is None:
+        return steps
+    hours, to = passes
+    return steps[0] + hours[steps[1]], to[steps[1]], *steps[2:]
+
+
+def _walker(rng, events, stops, down):
+    """Pooled steps of each state for walks that stop on ``stops``, and
+    ``start(size)``: the hours and states of walks from state 0.
+
+    A state raced by one unthinned law that neither fails nor stops the
+    walk is passed at once: a step into it adds its law's mean and goes on,
+    as does a walk that starts in one.  ``down[k]`` scales the credits of
+    state k's races."""
+    hours, to = np.zeros(len(events) + 1), np.arange(len(events) + 1, dtype=np.int8)
+    to[-1] = -1  # an endless race's state -1 leads nowhere
+    for k in range(len(events)):
+        s = k
+        while s < _FAILED and not stops[s] and _single(events[s]):
+            hours[k] += events[s][0].dist.mean()
+            s = events[s][0].target
+        to[k] = s
+    draws = [
+        _pooled(
+            rng, _draw, row,
+            scale if any(ev.thin < 1.0 for ev in row) else None,
+            (hours, to) if any(to[ev.target] != ev.target for ev in row) else None,
+        )
+        for row, scale in zip(events, down)
+    ]
+    h, s = 0.0, 0
+    if _single(events[0]):
+        (ev,) = events[0]
+        h, s = ev.dist.mean() + hours[ev.target], to[ev.target]
+    return draws, lambda size: (np.full(size, h), np.full(size, s, np.int8))
 
 
 def _pooled(rng, draw, *args):
@@ -199,42 +310,57 @@ def _pooled(rng, draw, *args):
     return take
 
 
-def _walk(draws, state, stops, limit):
-    """Lockstep walks from ``state``, each until it enters ``stops`` or its hours reach limit.
+def _walk(draws, hours, state, stops, limit):
+    """Lockstep walks from ``hours`` in ``state``, each until it enters ``stops`` or its
+    hours reach limit.
 
     Each step sorts the live walks by state and takes each state's steps in one
-    call, ``draws[k](count)`` -> (hours, next states).  Returns the hours (capped
-    at limit), the last states and the walks that visit state 10, then 11, once
-    per visit.  An endless race (state -1) stops by the limit."""
-    hours, live = np.zeros(state.size), np.arange(state.size)
-    failed = [(live[:0], live[:0])]
+    call, ``draws[k](count)`` -> (hours, next states[, credits, failure durations]).
+    Returns the hours (capped at limit), the last states, each walk's credits and
+    its visits to state 10 and to 11.  A credit counts only if its failure would
+    come before limit, as the walk meets only those failures.  An endless race
+    (state -1) stops by the limit."""
+    live = np.flatnonzero(hours < limit)
+    credits, failed = np.zeros(state.size), [(live[:0], live[:0])]
     while live.size:
         live = live[state[live].argsort(kind="stable")]
         counts = np.bincount(state[live]).tolist()
-        dt, nxt = map(np.concatenate, zip(*(draws[k](m) for k, m in enumerate(counts) if m)))
+        before = hours[live]
+        steps, at = [], 0
+        for k, m in enumerate(counts):
+            if m:
+                step = draws[k](m)
+                if len(step) > 2:
+                    walks, due = live[at : at + m], before[at : at + m] + step[3]
+                    np.add.at(credits, walks, np.where(due < limit, step[2], 0.0))
+                steps.append(step[:2])
+                at += m
+        dt, nxt = map(np.concatenate, zip(*steps))
         if len(counts) > _FAILED:  # walks in failed states sort last, 10 before 11
             at, m = sum(counts[:_FAILED]), counts[_FAILED]
             failed.append((live[at : at + m], live[at + m :]))
-        hours[live] = now = hours[live] + dt
+        hours[live] = now = before + dt
         state[live] = nxt
         live = live[~stops[nxt] & (now < limit)]
-    return np.minimum(hours, limit), state, map(np.concatenate, zip(*failed))
+    visits = [np.bincount(np.concatenate(v), minlength=state.size) for v in zip(*failed)]
+    return np.minimum(hours, limit), state, credits, visits
 
 
-def _runs(draws, n, stops, final, limit, start=None, warmup=None):
-    """The first n replications: their hours, capped at limit, and (3, n) sums.
+def _runs(draws, n, stops, final, limit, start, warmup=0.0, count=None):
+    """The first n replications: their hours, capped at limit, and, given ``count``,
+    their sums.
 
-    Segments are walks from state 0, or from ``start(size)``, in batches that double
+    Segments are walks from ``start(size)``, (hours, states), in batches that double
     from FIRST_BATCH to MAX_BATCH: the first k replications do not depend on n.  A
     replication takes segments until one ends in a ``final`` state or its hours reach
-    limit.  Given warmup, the sums are of hours, visits to state 10 and to 11, over
-    each replication's walks that start from warmup on."""
-    hours, sums = [], np.zeros((3, n + 1))
+    limit.  ``count(hours, credits, visits)`` gives per walk what to sum, (k, n), over
+    each replication's walks that start from warmup on: whether a walk counts
+    depends only on the walks before it."""
+    hours, sums, acc = [], [], 0.0  # acc: the open replication's sums
     closed, carry = 0, 0.0  # replications closed; hours of the open one
     for b in itertools.count():
         size = min(FIRST_BATCH << b, MAX_BATCH)
-        state = np.zeros(size, np.int8) if start is None else start(size)
-        seg_hours, last, visits = _walk(draws, state, stops, limit)
+        seg_hours, last, credits, visits = _walk(draws, *start(size), stops, limit)
         # clock: each segment's start; segment 0 holds the open replication's hours
         clock = np.concatenate(([0.0, carry], seg_hours)).cumsum()
         ends = np.flatnonzero(np.append(False, final[last]))
@@ -249,57 +375,88 @@ def _runs(draws, n, stops, final, limit, start=None, warmup=None):
         ends = np.array(sorted({*ends.tolist(), *cuts})) if cuts else ends
         base = clock[np.append(0, ends + 1)]  # where each replication starts
         hours.append(clock[ends + 1] - base[:-1])
-        if warmup is not None:  # each walk's replication, n if uncounted or past n
-            rep = np.searchsorted(ends, np.arange(1, size + 1))
-            rep = np.where(clock[1:-1] - base[rep] < warmup, n, np.minimum(closed + rep, n))
-            sums[0] += np.bincount(rep, seg_hours, n + 1)
-            sums[1:] += [np.bincount(rep[v], None, n + 1) for v in visits]
+        if count is not None:  # each replication's counted segments, first to stop - 1
+            first, stop = np.append(1, ends + 1), np.append(ends, size) + 1
+            if warmup:
+                first = np.minimum(np.maximum(clock.searchsorted(base + warmup), first), stop)
+            part = []
+            for x in count(seg_hours, credits, visits):
+                cum = np.concatenate(([0, 0], x)).cumsum()
+                part.append(cum[stop] - cum[first])
+            part = np.array(part)
+            part[:, 0] += acc
+            acc = part[:, -1]
+            sums.append(part[:, :-1])
         closed += ends.size
         carry = clock[-1] - base[-1]
         if closed >= n:
-            return np.minimum(np.concatenate(hours)[:n], limit), sums[:, :n]
+            hours = np.minimum(np.concatenate(hours)[:n], limit)
+            return hours, sums and np.concatenate(sums, axis=1)[:, :n]
 
 
 def simulate_availability(p: ModelParams, c: SimConfig, point: int = 0) -> Estimate:
     """Up-hours over hours, summed over whole cycles, with a delta-method interval.
 
     A replication runs cycles from state 0 until its hours reach the horizon, and
-    counts those that start from the warm-up on.  A visit to state 10 or 11 is down
-    for the mean of the one law it races, not its sampled stay (conditional Monte
-    Carlo).  ``point`` selects the stream of a study's point."""
+    counts those that start from the warm-up on; ``truncated`` counts the counted
+    cycles cut at the horizon.  The down hours are each race's failure credit times
+    the mean of the failed state's law, not the sampled failed stays (conditional
+    Monte Carlo); ``failures`` counts the sampled visits.  ``point`` selects the
+    stream of a study's point."""
     rng, events, n = _rng(c.seed, _TAG_AVAILABILITY, point), state_events(p), c.replications
     states = np.arange(len(events))
-    draws = [_pooled(rng, _races, row) for row in events]
-    _, (hours, *visits) = _runs(draws, n, states == 0, states < 0, c.horizon, None, c.warmup)
+    stay = [row[0].dist.mean() for row in events[_FAILED:]]  # in state 10, 11
+    down = [next((stay[ev.target - _FAILED] for ev in row if ev.target >= _FAILED), 0.0)
+            for row in events]  # the hours a failure credit of each state's races counts
+    draws, start = _walker(rng, events, states == 0, down)
+
+    def count(hours, credits, visits):
+        # each drawn failure is met by its visit; credits add the rest
+        down = credits + stay[0] * visits[0] + stay[1] * visits[1]
+        return hours, down, visits[0] + visits[1], hours >= c.horizon
+
+    _, (hours, down, visits, cut) = _runs(
+        draws, n, states == 0, states < 0, c.horizon, start, c.warmup, count
+    )
     if not hours.any():
         raise ValueError(f"no cycle starts between warmup {c.warmup} and horizon {c.horizon}")
-    down = np.dot([ev.dist.mean() for (ev,) in events[_FAILED:]], visits)
-    return _estimate("availability", hours - down, failures=int(np.sum(visits)), per=hours)
+    return _estimate("availability", hours - down, int(cut.sum()), int(visits.sum()), per=hours)
 
 
 def simulate_mttf(p: ModelParams, c: SimConfig, point: int = 0) -> Estimate:
     """Time to first entry into a failed state, repair disabled: a run of
-    excursions, each from state 0 to its next entry or to a failed state."""
+    excursions, each from state 0 to its next entry or to a failed state.
+
+    The estimate is the regenerative ratio E[T] = E[L] / p of hours to failure
+    credits over each replication's excursions (conditional Monte Carlo), or,
+    once a replication is censored at the guard horizon, the mean of the capped
+    hours."""
     rng = _rng(c.seed, _TAG_MTTF, point)
-    draws = [_pooled(rng, _races, events) for events in state_events(p)]
-    states = np.arange(len(draws))
+    events = state_events(p)
+    states = np.arange(len(events))
     failed = states >= _FAILED
-    hours, _ = _runs(draws, c.replications, failed | (states == 0), failed, GUARD_HORIZON)
+    draws, start = _walker(rng, events, failed | (states == 0), [1.0] * len(events))
+    hours, (credits,) = _runs(
+        draws, c.replications, failed | (states == 0), failed, GUARD_HORIZON, start,
+        count=lambda hours, credits, visits: (credits,),
+    )
     truncated = int(np.count_nonzero(hours >= GUARD_HORIZON))
-    return _estimate("mttf", hours, truncated, hours.size - truncated)
+    # a replication not censored ends in one drawn failure, credited 1
+    per = None if truncated else 1.0 + credits
+    return _estimate("mttf", hours, truncated, hours.size - truncated, per=per)
 
 
 def _attempts(case, restart, rng, n):
     """n attempts of one completion case: (hours, next states), ``_DONE`` or ``restart``.
 
     A failed attempt's hours include the restart overhead and the fresh
-    aging onset that follow it."""
+    aging onset that follow it, each at its law's mean: they draw nothing."""
     bounds = np.cumsum([mass for mass, _ in case.post])  # reboot, fix, rest
     pre = case.pre_fail.sample(rng, n)
     # branch k where k of the first two cumulative masses lie at or below the pick
     branch = np.searchsorted(bounds[:2], rng.random(n) * bounds[2], "right")
     post = np.choose(branch, [law.sample(rng, n) for _, law in case.post])
-    restart_hours = case.overhead.sample(rng, n) + case.aging.sample(rng, n)
+    restart_hours = case.overhead.mean() + case.aging.mean()
     failed_pre = pre <= case.tau
     done = ~failed_pre & (post > case.delta)
     hours = np.where(done, case.t0, np.where(failed_pre, pre, case.tau + post) + restart_hours)
@@ -317,6 +474,6 @@ def simulate_completion(p: ModelParams, w: WorkloadSpec, c: SimConfig, point: in
     done = np.arange(_DONE + 1) == _DONE
     hours, _ = _runs(
         draws, c.replications, done, done, GUARD_HORIZON,
-        lambda size: (rng.random(size) >= w.b1).astype(np.int8),
+        lambda size: (np.zeros(size), (rng.random(size) >= w.b1).astype(np.int8)),
     )
     return _estimate("completion", hours, int(np.count_nonzero(hours >= GUARD_HORIZON)))

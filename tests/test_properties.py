@@ -144,8 +144,9 @@ def test_kernel_rows_property(trigger, c, aging, failure, fixing, reboot, migrat
 def test_failed_states_race_one_unthinned_law_property(
     trigger, c, aging, failure, fixing, fixing_backup, a1
 ):
-    # simulate_availability credits each visit to state 10 or 11 the mean of
-    # that state's law: exact only while the stay is that one law's draw
+    # simulate_availability counts each failure credit into state 10 or 11 as
+    # down for the mean of that state's law: exact only while the stay is
+    # that one law's draw
     p = make_params(
         trigger=trigger, c=c, aging=aging, failure=failure, fixing=fixing,
         fixing_backup=fixing_backup, a1=a1,

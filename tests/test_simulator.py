@@ -75,10 +75,15 @@ def test_availability_counts_whole_cycles_from_warmup():
 
 
 def test_availability_credits_a_failed_visit_its_laws_mean(monkeypatch):
-    # the 12 h cycles above, with the fixing law's mean() reporting 3 h while
-    # its draws stay 2 h: each counted cycle lasts 12 h and is down 3 h.  The
-    # kernel, and with it sojourn_times, is switched off: the oracle shares
-    # none of the analytic engine's code.
+    # aging after exactly 4 h, then in state 8 the failure at 6 h races the
+    # reboot at 1 h (armed with c2 = 0.5) and the fixing at 2 h (c3 = 0.25);
+    # the trigger at 1e5 h never beats it.  Given those durations the failure
+    # wins with chance (1 - 0.5)(1 - 0.25) = 0.375, whatever the drawn arming,
+    # and it would come at 10 h, before the 10.5 h horizon.  Every other
+    # failure would come past the horizon, so each replication is one cycle
+    # cut at 10.5 h and down 0.375 times the fixing law's mean(), which reports
+    # 3 h while its draws stay 2 h.  The kernel, and with it sojourn_times, is
+    # switched off: the oracle shares none of the analytic engine's code.
     def switched_off(*args):
         raise AssertionError("the simulator used the analytic kernel")
 
@@ -88,11 +93,22 @@ def test_availability_credits_a_failed_visit_its_laws_mean(monkeypatch):
         aging=Deterministic(4.0),
         failure=Deterministic(6.0),
         fixing=Deterministic(2.0),
+        reboot=Deterministic(1.0),
         trigger=1e5,
-        c=(1.0, 0.0, 0.0),
+        c=(0.25, 0.5, 0.25),
     )
-    est = simulate_availability(p, SimConfig(replications=8, seed=5, horizon=95.0, warmup=11.0))
-    assert est.mean == 1.0 - 21.0 / 84.0
+    est = simulate_availability(p, SimConfig(replications=8, seed=5, horizon=10.5))
+    assert est.mean == 8 * (10.5 - 0.375 * 3.0) / (8 * 10.5)
+    assert est.ci_low == est.ci_high == est.mean
+    assert est.truncated == 8
+
+
+def test_availability_reports_cycles_cut_at_the_horizon():
+    # a first cycle of ~1e9 h is cut at the 1e4 h horizon: each replication
+    # counts that one cut cycle, and the estimate says so
+    p = make_params(aging=Exponential(1e-9))
+    est = simulate_availability(p, SimConfig(replications=4, seed=1, horizon=1e4))
+    assert est.truncated == est.replications == 4
 
 
 @pytest.mark.parametrize("name", bundled_config_names())
@@ -173,9 +189,10 @@ def _step(events, rng):
 
 
 def _stepped(events, rng, n):
-    """n scalar races, in the form ``sim._races`` returns them."""
-    sojourns, targets = zip(*(_step(events, rng) for _ in range(n)))
-    return np.array(sojourns), np.array(targets)
+    """n scalar races, in the form ``sim._races`` returns them: each failure's
+    credit is its drawn outcome, and its duration the sojourn."""
+    sojourns, targets = map(np.array, zip(*(_step(events, rng) for _ in range(n))))
+    return sojourns, targets, (targets >= 10) * 1.0, sojourns
 
 
 # --- the per-event walkers: oracles for the batched estimators ---------------
@@ -184,7 +201,7 @@ def _stepped(events, rng, n):
 def _outcomes(events, rng):
     """The races of one state, one (sojourn, next state) per entry, drawn 1,024 at a time."""
     while True:
-        yield from zip(*(x.tolist() for x in sim._races(events, rng, 1024)))
+        yield from zip(*(x.tolist() for x in sim._races(events, rng, 1024)[:2]))
 
 
 def _downtime(races, horizon, warmup):
@@ -241,10 +258,22 @@ def scalar_mttf(p, c):
 
 
 def _attempts(case, rng):
-    """Attempts of one completion case, 1,024 drawn at a time: (completed?, hours)."""
+    """Attempts of one completion case, one at a time: (completed?, hours).
+
+    A failed attempt's hours include its sampled restart overhead and
+    fresh aging onset."""
+    bounds = np.cumsum([mass for mass, _ in case.post])  # reboot, fix, rest
     while True:
-        hours, nxt = sim._attempts(case, 0, rng, 1024)
-        yield from zip((nxt == sim._DONE).tolist(), hours.tolist())
+        pre = case.pre_fail.sample(rng)
+        branch = np.searchsorted(bounds[:2], rng.random() * bounds[2], "right")
+        post = case.post[branch][1].sample(rng)
+        restart = case.overhead.sample(rng) + case.aging.sample(rng)
+        if pre <= case.tau:
+            yield False, pre + restart
+        elif post <= case.delta:
+            yield False, case.tau + post + restart
+        else:
+            yield True, case.t0
 
 
 def scalar_completion(p, w, c):
@@ -285,23 +314,52 @@ def _race_points():
 )
 def test_races_match_the_analytic_rows(point, draw, n):
     # next-state frequencies within a 4-sigma multinomial bound of the
-    # kernel row, and the mean sojourn within 4 standard errors
+    # kernel row, the mean sojourn within 4 standard errors, and the mean
+    # failure credit within that multinomial bound of the row's failure
+    # entry (a credit in [0, 1] with mean q has variance at most q(1 - q))
     p = _race_points()[point]
     P, h = transition_matrix(p), sojourn_times(p)
     rng = np.random.default_rng(2024)
     for i, events in enumerate(state_events(p)):
-        sojourns, targets = draw(events, rng, n)
+        sojourns, targets, credits, _ = draw(events, rng, n)
         freq = np.bincount(targets, minlength=12) / n
         bound = 4.0 * np.sqrt(P[i] * (1.0 - P[i]) / n) + 1e-12
         assert np.all(np.abs(freq - P[i]) <= bound), (i, freq, P[i])
         se = np.std(sojourns, ddof=1) / math.sqrt(n)
         assert abs(np.mean(sojourns) - h[i]) <= 4.0 * se + 1e-12 * h[i], (i, h[i])
+        fail = P[i, 10:].sum()
+        bound = 4.0 * math.sqrt(fail * (1.0 - fail) / n) + 1e-12
+        assert abs(np.mean(credits) - fail) <= bound, (i, np.mean(credits), fail)
+
+
+def test_race_credits_integrate_out_the_arming():
+    # the failure at 6 h beats the trigger at 1e5 h; it is beaten by the reboot
+    # at 1 h (armed with 0.5), and by the fixing at 6 h on the tie only if the
+    # fixing were listed first: each race credits (1 - 0.5), whatever it drew,
+    # and its failure duration is 6 h
+    events = [
+        _Event(Deterministic(6.0), 1.0, 10),
+        _Event(Deterministic(1e5), 0.25, 2),
+        _Event(Deterministic(1.0), 0.5, 3),
+        _Event(Deterministic(6.0), 0.25, 6),
+    ]
+    sojourns, targets, credits, durations = sim._races(events, np.random.default_rng(3), 1000)
+    assert np.array_equal(credits, [0.5] * 1000) and np.array_equal(durations, [6.0] * 1000)
+    assert set(targets.tolist()) == {3, 10} and set(sojourns.tolist()) == {1.0, 6.0}
+    # listed first, a thinned event beats the failure on the tie too
+    events = [_Event(Deterministic(6.0), 0.5, 3), _Event(Deterministic(6.0), 1.0, 10)]
+    _, targets, credits, _ = sim._races(events, np.random.default_rng(3), 1000)
+    assert np.array_equal(credits, [0.5] * 1000) and set(targets.tolist()) == {3, 10}
+    # an unthinned race credits its drawn outcome
+    events = [_Event(Exponential(1.0), 1.0, 7), _Event(Exponential(1.0), 1.0, 10)]
+    _, targets, credits, _ = sim._races(events, np.random.default_rng(3), 1000)
+    assert np.array_equal(credits, targets == 10)
 
 
 @pytest.mark.parametrize("draw", [sim._races, _stepped], ids=["pooled", "scalar"])
 def test_race_ties_go_to_the_earlier_event(draw):
     events = [_Event(Deterministic(5.0), 1.0, 3), _Event(Deterministic(5.0), 1.0, 7)]
-    sojourns, targets = draw(events, np.random.default_rng(1), 100)
+    sojourns, targets, *_ = draw(events, np.random.default_rng(1), 100)
     assert np.array_equal(sojourns, [5.0] * 100) and np.array_equal(targets, [3] * 100)
 
 
@@ -312,8 +370,9 @@ def test_race_ties_go_to_the_earlier_event(draw):
 def test_batched_estimates_match_the_per_event_walkers(name, trigger):
     # independent streams: the batched walker at seed 3, the per-event
     # walkers at seed 4; each metric's two means lie within 4 combined
-    # standard errors.  The per-event availability walker samples every
-    # failed stay, where the batched one credits each its law's mean.
+    # standard errors.  The per-event walkers sample every stay and count
+    # every failure they meet, where the batched ones credit each race its
+    # chance of failure and stay in a one-law state for that law's mean.
     cfg = load_config(name)
     if trigger is not None:
         cfg = apply_variable(cfg, "trigger_interval", trigger)
@@ -410,6 +469,19 @@ def test_availability_ci_coverage():
         est = simulate_availability(
             p, SimConfig(replications=60, seed=808_000 + run, horizon=3e4, warmup=5e3)
         )
+        hits += est.ci_low <= truth <= est.ci_high
+    assert 930 <= hits <= 970
+
+
+def test_mttf_ci_coverage():
+    # the same check for the MTTF ratio of hours to failure credits: over
+    # 1,000 independent runs its 95% intervals cover mttf(p) at close to
+    # their nominal rate
+    p = make_params()
+    truth = mttf(p)
+    hits = 0
+    for run in range(1000):
+        est = simulate_mttf(p, SimConfig(replications=200, seed=909_000 + run))
         hits += est.ci_low <= truth <= est.ci_high
     assert 930 <= hits <= 970
 
