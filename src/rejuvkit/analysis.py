@@ -1,12 +1,14 @@
 """Analytic metrics: steady-state availability, MTTF, mean completion time.
 
 One batched assembly serves a sweep's whole grid: it builds the kernels
-and sojourn times of all the points at once, weights each embedded
-chain's stationary vector (on the closed set of states that state 0
-reaches) by the sojourn times for availability, and solves the expected
-visit counts of the absorbing (no-repair) variant for MTTF, which is
-infinite when no failure state is reachable; the chain solves of the
-points that share a live set are one stacked solve.
+and sojourn times of all the points at once, and reduces each kernel and
+its restart chain, in which a failure leads back to state 0, in one
+stacked state reduction (:mod:`rejuvkit.numerics`).  Availability weights
+the kernel's stationary vector (on the closed class that state 0
+reaches) by the sojourn times.  A restart cycle holds one failure and
+the visits before it, so the restart chain's vector w gives the
+expected visits before the first failure (repair disabled) as
+w[:10] / (w10 + w11); the MTTF is infinite when w10 + w11 is 0.
 :func:`metrics_report` is its view of one point, and :func:`availability`
 and :func:`mttf` are views of that; :func:`mttf` raises on an infinite
 MTTF.  The report resolves completion only where it applies.
@@ -54,9 +56,7 @@ import numpy as np
 
 from .distributions import Deterministic, Distribution
 from .model import ModelConsistencyError, ModelParams, _kernel
-from .numerics import (
-    AbsorptionUnreachable, _stationary, absorbing_visits, phase_window, reachability
-)
+from .numerics import AbsorptionUnreachable, _stationary, phase_window
 
 __all__ = [
     "WorkloadSpec",
@@ -151,28 +151,21 @@ def metrics_report(p: ModelParams, w: WorkloadSpec | None = None) -> MetricsRepo
 
 def _reports(ps, ws=None) -> list[MetricsReport]:
     """:func:`metrics_report` of each parameter set in ``ps`` (with the
-    workloads ``ws``), from one batched model build: the chain solves of
-    the points that share a live set are one stacked solve."""
+    workloads ``ws``), from one batched model build and one stacked state
+    reduction of the points' kernels and restart chains."""
     P, h = _kernel(ps)
-    # a transition too rare to represent (0.0) can split off a closed class
-    # that state 0 never visits; the closed set that state 0 reaches gets all mass
-    reach = reachability(P)
-    v = np.zeros(h.shape)
-    groups = {}
-    for n, live in enumerate(reach[:, 0]):
-        groups.setdefault(live.tobytes(), (live, []))[1].append(n)
-    for live, points in groups.values():
-        at, states = np.array(points)[:, None], np.flatnonzero(live)
-        block = (at[:, :, None], states[:, None], states)
-        v[at, states] = _stationary(P[block], reach[block])
+    # the restart chain: P with the failed states sent back to state 0
+    R = P.copy()
+    R[:, 10:] = 0.0
+    R[:, 10:, 0] = 1.0
+    v, r = np.split(_stationary(np.moveaxis(np.concatenate((P, R)), 0, -1)).T, 2)
     weighted = v * h
     pi = weighted / weighted.sum(axis=-1, keepdims=True)
     avail = 1.0 - pi[:, 10] - pi[:, 11]
 
-    # no-repair variant: the failed states absorb, execution starts in 0
-    alpha = np.zeros(10)
-    alpha[0] = 1.0
-    visits = _visits(P[:, :10, :10], alpha)
+    # renewal-reward: visits per restart cycle over failures per cycle
+    failures = r[:, 10] + r[:, 11]
+    visits = [None if f == 0.0 else r[n, :10] / f for n, f in enumerate(failures.tolist())]
 
     # completion applies where there is a workload and a1 is a plain delay
     ws = ws or [None] * len(ps)
@@ -193,17 +186,6 @@ def _reports(ps, ws=None) -> list[MetricsReport]:
     ]
 
 
-def _visits(M, alpha) -> list:
-    """:func:`absorbing_visits` of each matrix in the stack ``M``, from one
-    stacked solve; None where no failure state is reachable."""
-    try:
-        return list(absorbing_visits(M, alpha))
-    except AbsorptionUnreachable:  # some point's I - M is singular: solve each alone
-        if len(M) == 1:
-            return [None]
-        return [V for m in M for V in _visits(m[None], alpha)]
-
-
 def availability(p: ModelParams) -> float:
     """Long-run fraction of time in the ten up states."""
     return metrics_report(p).availability
@@ -213,7 +195,7 @@ def mttf(p: ModelParams) -> float:
     """Mean time to first failure with repair disabled; finite or raises."""
     report = metrics_report(p)
     if report.visits is None:
-        raise AbsorptionUnreachable("I - M is singular: the model has no path to absorption")
+        raise AbsorptionUnreachable("failure is not certain: some path never reaches absorption")
     return report.mttf
 
 

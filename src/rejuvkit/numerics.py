@@ -4,8 +4,9 @@ Every law in the model is phase-type (alpha, T) or a point mass, so the
 integrals of competing-risks survival products, and the windowed
 transforms of the completion analysis, have closed matrix forms; they
 are evaluated here exactly, with no quadrature: one solve per product
-of survivals gives all of its integrals at once.  The model is 12
-states, so the chain solves are dense with partial pivoting.
+of survivals gives all of its integrals at once.  The chain solves are
+one state reduction, which never subtracts, of a stack of chains; its
+steps act elementwise along the stack.
 
 Everything but the Kronecker solve works on a batch of points at once:
 a sweep's grid points differ in their trigger offsets and window
@@ -362,89 +363,99 @@ def reachability(P: np.ndarray) -> np.ndarray:
     return reach
 
 
-def _class_heads(reach: np.ndarray) -> np.ndarray:
-    """Mask of the lowest state of each recurrent class, per reachability matrix.
+def _reduce(A: np.ndarray) -> np.ndarray:
+    """Stationary vectors, (n, b), of the chains stacked on the last axis of
+    ``A``, (n, n, b), by state reduction, which overwrites ``A``.
 
-    A state is recurrent when every state it reaches reaches it back; its
-    class is then the set of states it reaches, and the class's lowest
-    state, which reaches no lower one, stands for it.
+    States are eliminated from the last one down, and each pivot is a
+    state's outflow to the states that remain, so nothing is subtracted
+    and each entry is accurate to a few ulp of itself (Grassmann, Taksar
+    & Heyman 1985; O'Cinneide 1993).  A pivot is positive when every
+    state reaches state 0; a vector with a zero pivot is not finite.
     """
-    recurrent = ~(reach & ~np.swapaxes(reach, -1, -2)).any(axis=-1)
-    return recurrent & (reach.argmax(axis=-1) == np.arange(reach.shape[-1]))
+    n = A.shape[0]
+    v = np.zeros(A.shape[1:])
+    v[0] = 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(n - 1, 0, -1):
+            col, row = A[:k, k, None], A[k, :k]
+            col /= np.add.reduce(row)
+            A[:k, :k] += col * row
+        for k in range(n - 1):  # v[k] is complete: pass it on
+            v[k + 1 :] += v[k] * A[k, k + 1 :]
+        return v / np.add.reduce(v)
+
+
+def _stationary(P: np.ndarray, starts=slice(1)) -> np.ndarray:
+    """:func:`_reduce` of the stack ``P`` on the closed class that the slice
+    ``starts`` of states (state 0 by default) reaches.
+
+    Only a chain with a zero pivot, where some state never reaches state
+    0, has its reachability taken; its closed class is then reduced alone.
+    Raises :class:`ReducibleChainError` when ``starts`` reach more than one.
+    """
+    v = _reduce(P.copy())
+    n = len(P)
+    for j in np.flatnonzero(~np.isfinite(v).all(axis=0)):
+        reach = reachability(P[..., j])
+        # a recurrent state reaches only states that reach it back; its
+        # class is what it reaches, and the lowest state stands for it
+        recurrent = ~(reach & ~reach.T).any(axis=-1)
+        heads = recurrent & (reach.argmax(axis=-1) == np.arange(n)) & reach[starts].any(axis=0)
+        closed = [np.flatnonzero(reach[i]) for i in np.flatnonzero(heads)]
+        if len(closed) > 1:
+            outside = sorted(set(range(n)) - set(closed[0].tolist()))
+            raise ReducibleChainError(
+                f"chain has {len(closed)} recurrent classes; no unique stationary vector "
+                f"(states outside the first class: {outside})",
+                states=outside,
+            )
+        v[:, j] = 0.0
+        v[closed[0], j] = _reduce(P[closed[0][:, None], closed[0], j, None])[:, 0]
+    return v
 
 
 def dtmc_stationary(P: np.ndarray) -> np.ndarray:
     """Stationary vector of a row-stochastic matrix: v = vP, sum(v) = 1.
 
-    Solved densely by replacing one balance equation with the
-    normalisation row.  Raises :class:`ReducibleChainError` when the
-    chain has more than one recurrent class (singular beyond the
-    normalisation), naming the states outside the main class.
+    Raises :class:`ReducibleChainError` when the chain has more than one
+    recurrent class, naming the states outside the first.
     """
     P = np.asarray(P, dtype=float)
     n = P.shape[0]
     if P.shape != (n, n):
         raise ValueError(f"square matrix required, got {P.shape}")
-    return _stationary(P[None], reachability(P)[None])[0]
-
-
-def _stationary(P: np.ndarray, reach: np.ndarray) -> np.ndarray:
-    """:func:`dtmc_stationary` of each matrix in the stack ``P``, with
-    reachability ``reach``: one stacked solve."""
-    n = P.shape[-1]
     rows = P.sum(axis=-1)
-    stray = np.abs(rows - 1.0) > _STOCHASTIC_TOL
-    heads = _class_heads(reach)
-    for j in np.flatnonzero(stray.any(axis=-1) | (heads.sum(axis=-1) != 1)):
-        bad = np.flatnonzero(stray[j])
-        if bad.size:
-            raise ValueError(
-                f"matrix is not row-stochastic in rows {bad.tolist()} (sums {rows[j][bad]})"
-            )
-        closed = [np.flatnonzero(reach[j][i]).tolist() for i in np.flatnonzero(heads[j])]
-        outside = sorted(set(range(n)) - set(closed[0])) if closed else list(range(n))
-        raise ReducibleChainError(
-            f"chain has {len(closed)} recurrent classes; no unique stationary vector "
-            f"(states outside the first class: {outside})",
-            states=outside,
-        )
-
-    A = np.swapaxes(P, -1, -2) - np.eye(n)
-    A[:, -1, :] = 1.0
-    b = np.zeros((len(P), n, 1))
-    b[:, -1] = 1.0
-    try:
-        v = np.linalg.solve(A, b)[..., 0]
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by class check
-        raise ReducibleChainError(f"stationary system singular: {exc}") from exc
-    v[np.abs(v) < 1e-15] = 0.0
-    for point in v[(v < -1e-10).any(axis=-1)]:
-        raise ArithmeticError(f"stationary solve produced negative mass: {point}")
-    v = np.clip(v, 0.0, None)
-    return v / v.sum(axis=-1, keepdims=True)
+    bad = np.flatnonzero(np.abs(rows - 1.0) > _STOCHASTIC_TOL)
+    if bad.size:
+        raise ValueError(f"matrix is not row-stochastic in rows {bad.tolist()} (sums {rows[bad]})")
+    return _stationary(P[..., None], slice(None))[:, 0]
 
 
 class AbsorptionUnreachable(ArithmeticError):
-    """I - M is singular: no absorbing state can be reached."""
+    """Absorption is not certain: some path never reaches it."""
 
 
 def absorbing_visits(M: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Expected visit counts V = alpha (I - M)^-1 for a sub-stochastic M; a
-    stack of matrices gives a stack of counts, from one stacked solve."""
+    """Expected visit counts V = alpha (I - M)^-1 for a sub-stochastic M.
+
+    In the restart chain absorption leads to a new state 0, which alpha
+    leaves, and by renewal-reward its stationary vector w gives
+    V = w[1:] / w[0].
+    """
     M = np.asarray(M, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
     n = M.shape[-1]
-    if M.shape[-2:] != (n, n) or alpha.shape != (n,):
+    if M.shape != (n, n) or alpha.shape != (n,):
         raise ValueError(f"shape mismatch: M {M.shape}, alpha {alpha.shape}")
-    A = np.eye(n) - M
+    A = np.zeros((n + 1, n + 1, 1))
+    A[0, 1:, 0] = alpha
+    A[1:, 0, 0] = 1.0 - M.sum(axis=-1)
+    A[1:, 1:, 0] = M
     try:
-        V = np.linalg.solve(np.swapaxes(A, -1, -2), alpha[:, None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise AbsorptionUnreachable(
-            "I - M is singular: the model has no path to absorption"
-        ) from exc
-    if not np.all(np.isfinite(V)):
-        raise ArithmeticError("visit counts are not finite")
-    if (V < -1e-9).any():
-        raise ArithmeticError(f"negative expected visits: {V}")
-    return np.clip(V, 0.0, None)
+        w = _stationary(A)[:, 0]
+        if w[0] > 0.0:
+            return w[1:] / w[0]
+    except ReducibleChainError:  # state 0 reaches two closed classes, neither with it
+        pass
+    raise AbsorptionUnreachable("absorption is not certain: some path never reaches it")

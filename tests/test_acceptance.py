@@ -176,11 +176,12 @@ def test_criterion_4_simulation_cross_validation():
     lines = []
     from rejuvkit.toolkit import apply_variable
 
-    for trigger in REF_AVAILABILITY:
+    # each trigger draws its own stream, as `rejuvkit simulate` does
+    for point, trigger in enumerate(REF_AVAILABILITY):
         p = apply_variable(cfg, "trigger_interval", trigger).params
         a_true, m_true = availability(p), mttf(p)
-        est_a = simulate_availability(p, sim)
-        est_m = simulate_mttf(p, sim)
+        est_a = simulate_availability(p, sim, point)
+        est_m = simulate_mttf(p, sim, point)
         in_a = est_a.ci_low <= a_true <= est_a.ci_high
         in_m = est_m.ci_low <= m_true <= est_m.ci_high
         hits_a += in_a

@@ -104,8 +104,8 @@ def test_stationary_solve_from_the_start_state():
     assert report.mttf == pytest.approx(1100.0, rel=1e-12)
 
 
-def test_reachability_runs_once_per_report(monkeypatch):
-    from rejuvkit import analysis, numerics
+def test_reachability_runs_only_on_a_zero_pivot(monkeypatch):
+    from rejuvkit import numerics
 
     calls = []
     real = numerics.reachability
@@ -115,20 +115,20 @@ def test_reachability_runs_once_per_report(monkeypatch):
         return real(P)
 
     monkeypatch.setattr(numerics, "reachability", counted)
-    monkeypatch.setattr(analysis, "reachability", counted)
-    # the second config leaves a closed class that state 0 never reaches
-    for trigger in (30.0, 1e7):
-        calls.clear()
-        p = make_params(
-            trigger=trigger, aging=Exponential(0.001), failure=Exponential(0.01), c=(1.0, 0.0, 0.0)
-        )
-        metrics_report(p)
-        assert calls == [(1, 12, 12)]  # a stack of one kernel
+    kw = dict(aging=Exponential(0.001), failure=Exponential(0.01), c=(1.0, 0.0, 0.0))
+    # every state reaches state 0: the reduction has no zero pivot
+    metrics_report(make_params(trigger=30.0, **kw))
+    assert calls == []
+    # the closed class {1, 7, 11} never reaches state 0: the kernel alone
+    # takes its reachability, and its vector lies on {0, 8, 10}
+    report = metrics_report(make_params(trigger=1e7, **kw))
+    assert calls == [(12, 12)]
+    assert np.flatnonzero(report.stationary).tolist() == [0, 8, 10]
 
 
 def test_mttf_absorption_unreachable_raises():
     # certain triggers/migration always outrun the far point-mass failures:
-    # the no-repair chain cycles forever and the visit solve is singular
+    # the no-repair chain cycles forever, and no restart cycle fails
     p = make_params(failure=NEVER, migration=Deterministic(0.01), c=(1.0, 0.0, 0.0))
     with pytest.raises(ArithmeticError, match="absorption|singular"):
         mttf(p)

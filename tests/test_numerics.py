@@ -178,6 +178,12 @@ def test_stationary_reducible_names_states():
     assert err.value.states in ((2, 3), (0, 1))
 
 
+def test_stationary_of_a_transient_start_state():
+    # state 0 never returns: a zero pivot, and the closed class {1, 2} alone
+    P = np.array([[0.5, 0.5, 0.0], [0.0, 0.2, 0.8], [0.0, 0.4, 0.6]])
+    assert dtmc_stationary(P).tolist() == pytest.approx([0.0, 1.0 / 3.0, 2.0 / 3.0], abs=1e-15)
+
+
 def test_stationary_unichain_with_transients_is_fine():
     # state 2 is transient; unique stationary vector has mass on {0,1} only
     P = np.array([[0.2, 0.8, 0.0], [0.9, 0.1, 0.0], [0.3, 0.3, 0.4]])
@@ -215,6 +221,24 @@ def test_visits_singular_when_no_absorption():
     M = np.array([[0.0, 1.0], [1.0, 0.0]])  # row sums 1: no leak to absorption
     with pytest.raises(ArithmeticError, match="absorption"):
         absorbing_visits(M, np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "M",
+    [
+        [[0.5, 0.25, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]],  # {1, 2} never leaks
+        [[0.0, 0.5, 0.25], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],  # nor do {1} and {2}
+    ],
+)
+def test_visits_raise_when_absorption_is_not_certain(M):
+    with pytest.raises(ArithmeticError, match="absorption"):
+        absorbing_visits(np.array(M), np.array([1.0, 0.0, 0.0]))
+
+
+def test_visits_ignore_states_that_alpha_never_reaches():
+    # state 1 never leaks, but the walk from state 0 never enters it
+    M = np.array([[0.5, 0.0], [0.0, 1.0]])
+    assert absorbing_visits(M, np.array([1.0, 0.0])).tolist() == [2.0, 0.0]
 
 
 # --- exact phase-type engine -----------------------------------------------
