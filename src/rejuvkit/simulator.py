@@ -11,7 +11,7 @@ completion walks over the cases until an attempt completes.  Segments
 are walked in numpy batches, in lockstep, with each state's races and
 each case's attempts drawn in blocks.
 
-Three credits replace draws by their conditional expectations
+Four credits replace draws by their conditional expectations
 (conditional Monte Carlo; Asmussen & Glynn 2007, Stochastic Simulation,
 V.4), while the walk still follows what it drew:
 
@@ -19,6 +19,9 @@ V.4), while the walk still follows what it drew:
   it drew, its arming draws integrated out.  Availability counts each
   credit as down for the mean of the failed state's law, and MTTF is the
   ratio E[T] = E[L] / p of hours to credits over the excursions;
+- a completion attempt that outlives its pre-trigger failure draw
+  credits its chance to complete, the branch pick and the post-trigger
+  draw integrated out, and completion is the ratio of hours to credits;
 - a state raced by one unthinned law draws nothing and stays that law's
   mean;
 - a failed completion attempt's restart overhead and fresh aging onset
@@ -95,8 +98,8 @@ class Estimate:
     # replications censored at the guard horizon; for availability, the
     # counted cycles cut at the horizon
     truncated: int = 0
-    # sampled failed-state visits (availability), failed replications (mttf):
-    # the events the credits stand in for
+    # sampled failed-state visits (availability), failed replications (mttf),
+    # failed attempts (completion): the events the credits stand in for
     failures: int = 0
 
     def contains(self, value: float) -> bool:
@@ -346,9 +349,8 @@ def _walk(draws, hours, state, stops, limit):
     return np.minimum(hours, limit), state, credits, visits
 
 
-def _runs(draws, n, stops, final, limit, start, warmup=0.0, count=None):
-    """The first n replications: their hours, capped at limit, and, given ``count``,
-    their sums.
+def _runs(draws, n, stops, final, limit, start, count, warmup=0.0):
+    """The first n replications: their hours, capped at limit, and their sums.
 
     Segments are walks from ``start(size)``, (hours, states), in batches that double
     from FIRST_BATCH to MAX_BATCH: the first k replications do not depend on n.  A
@@ -356,7 +358,7 @@ def _runs(draws, n, stops, final, limit, start, warmup=0.0, count=None):
     limit.  ``count(hours, credits, visits)`` gives per walk what to sum, (k, n), over
     each replication's walks that start from warmup on: whether a walk counts
     depends only on the walks before it."""
-    hours, sums, acc = [], [], 0.0  # acc: the open replication's sums
+    hours, sums, acc = np.empty(n), None, 0.0  # acc: the open replication's sums
     closed, carry = 0, 0.0  # replications closed; hours of the open one
     for b in itertools.count():
         size = min(FIRST_BATCH << b, MAX_BATCH)
@@ -374,24 +376,26 @@ def _runs(draws, n, stops, final, limit, start, warmup=0.0, count=None):
                 at = clock[k]
         ends = np.array(sorted({*ends.tolist(), *cuts})) if cuts else ends
         base = clock[np.append(0, ends + 1)]  # where each replication starts
-        hours.append(clock[ends + 1] - base[:-1])
-        if count is not None:  # each replication's counted segments, first to stop - 1
-            first, stop = np.append(1, ends + 1), np.append(ends, size) + 1
-            if warmup:
-                first = np.minimum(np.maximum(clock.searchsorted(base + warmup), first), stop)
-            part = []
-            for x in count(seg_hours, credits, visits):
-                cum = np.concatenate(([0, 0], x)).cumsum()
-                part.append(cum[stop] - cum[first])
-            part = np.array(part)
-            part[:, 0] += acc
-            acc = part[:, -1]
-            sums.append(part[:, :-1])
-        closed += ends.size
+        kept = min(ends.size, n - closed)  # those closed here that are among the first n
+        hours[closed : closed + kept] = clock[ends[:kept] + 1] - base[:kept]
+        first, stop = np.append(1, ends + 1), np.append(ends, size) + 1  # counted: [first, stop)
+        if warmup:
+            first = np.minimum(np.maximum(clock.searchsorted(base + warmup), first), stop)
+        part = []
+        for x in count(seg_hours, credits, visits):
+            cum = np.concatenate(([0, 0], x)).cumsum()
+            part.append(cum[stop] - cum[first])
+        part = np.array(part)
+        part[:, 0] += acc
+        acc = part[:, -1].copy()
+        sums = np.empty((len(part), n)) if sums is None else sums
+        sums[:, closed : closed + kept] = part[:, :kept]
+        closed += kept
         carry = clock[-1] - base[-1]
-        if closed >= n:
-            hours = np.minimum(np.concatenate(hours)[:n], limit)
-            return hours, sums and np.concatenate(sums, axis=1)[:, :n]
+        # the batch's arrays go before the next walk, not after it: peak memory
+        del seg_hours, last, credits, visits, clock, ends, tail, base, first, stop, part, cum, x
+        if closed == n:
+            return np.minimum(hours, limit, out=hours), sums
 
 
 def simulate_availability(p: ModelParams, c: SimConfig, point: int = 0) -> Estimate:
@@ -416,7 +420,7 @@ def simulate_availability(p: ModelParams, c: SimConfig, point: int = 0) -> Estim
         return hours, down, visits[0] + visits[1], hours >= c.horizon
 
     _, (hours, down, visits, cut) = _runs(
-        draws, n, states == 0, states < 0, c.horizon, start, c.warmup, count
+        draws, n, states == 0, states < 0, c.horizon, start, count, c.warmup
     )
     if not hours.any():
         raise ValueError(f"no cycle starts between warmup {c.warmup} and horizon {c.horizon}")
@@ -438,7 +442,7 @@ def simulate_mttf(p: ModelParams, c: SimConfig, point: int = 0) -> Estimate:
     draws, start = _walker(rng, events, failed | (states == 0), [1.0] * len(events))
     hours, (credits,) = _runs(
         draws, c.replications, failed | (states == 0), failed, GUARD_HORIZON, start,
-        count=lambda hours, credits, visits: (credits,),
+        lambda hours, credits, visits: (credits,),
     )
     truncated = int(np.count_nonzero(hours >= GUARD_HORIZON))
     # a replication not censored ends in one drawn failure, credited 1
@@ -446,34 +450,57 @@ def simulate_mttf(p: ModelParams, c: SimConfig, point: int = 0) -> Estimate:
     return _estimate("mttf", hours, truncated, hours.size - truncated, per=per)
 
 
-def _attempts(case, restart, rng, n):
-    """n attempts of one completion case: (hours, next states), ``_DONE`` or ``restart``.
+def _attempts(case, restart, chance, rng, n):
+    """n attempts of one completion case: (hours, next states, credits less outcomes,
+    dues), the next state ``_DONE`` or ``restart``.
 
-    A failed attempt's hours include the restart overhead and the fresh
-    aging onset that follow it, each at its law's mean: they draw nothing."""
-    bounds = np.cumsum([mass for mass, _ in case.post])  # reboot, fix, rest
+    An attempt that outlives its pre-trigger failure draw is credited ``chance``, its
+    chance to complete, and one that does not, 0.  A failed attempt's hours include the
+    restart overhead and the fresh aging onset that follow it, each at its law's mean:
+    they draw nothing."""
     pre = case.pre_fail.sample(rng, n)
-    # branch k where k of the first two cumulative masses lie at or below the pick
-    branch = np.searchsorted(bounds[:2], rng.random(n) * bounds[2], "right")
-    post = np.choose(branch, [law.sample(rng, n) for _, law in case.post])
+    bounds = np.cumsum([mass for mass, _ in case.post])  # reboot, fix, rest
+    pick = rng.random(n) * bounds[2]
+    # branch k where k of the first two cumulative masses lie at or below the pick;
+    # each branch's law is drawn only for the attempts that picked it
+    picks = pick < bounds[0], (bounds[0] <= pick) & (pick < bounds[1]), bounds[1] <= pick
+    post = np.empty(n)
+    for picked, (_, law) in zip(picks, case.post):
+        post[picked] = law.sample(rng, np.count_nonzero(picked))
     restart_hours = case.overhead.mean() + case.aging.mean()
     failed_pre = pre <= case.tau
     done = ~failed_pre & (post > case.delta)
     hours = np.where(done, case.t0, np.where(failed_pre, pre, case.tau + post) + restart_hours)
-    return hours, np.where(done, _DONE, restart)
+    credit = np.where(failed_pre, 0.0, chance)
+    return hours, np.where(done, _DONE, restart), credit - done, np.zeros(n)
 
 
 def simulate_completion(p: ModelParams, w: WorkloadSpec, c: SimConfig, point: int = 0) -> Estimate:
     """Wall-clock completion time under preemptive-repeat restarts: a walk
     over the cases, 0 (primary) or 1 (backup, with probability b2) at the
-    start, until an attempt completes."""
+    start, until an attempt completes.
+
+    The estimate is the ratio of hours to completion credits (conditional Monte
+    Carlo), or, once a replication is censored at the guard horizon, the mean of the
+    capped hours: a replication ends at its first drawn completion, so by optional
+    stopping its credits have mean 1.  ``failures`` counts the sampled failed attempts."""
     rng = _rng(c.seed, _TAG_COMPLETION, point)
-    primary, backup = completion_cases(p, w)
-    draws = [_pooled(rng, _attempts, primary, 0),
-             _pooled(rng, _attempts, backup, 0 if w.backup_restart_via_primary else 1)]
-    done = np.arange(_DONE + 1) == _DONE
-    hours, _ = _runs(
+    draws = []
+    # a failed attempt enters failed state 10 to restart the primary case or 11 the
+    # backup, which draw as states 0 and 1 do: the walk counts them as visits
+    for case, restart in zip(completion_cases(p, w), (0, 0 if w.backup_restart_via_primary else 1)):
+        # a case with no post-trigger mass fails every attempt before its trigger
+        mass = math.fsum(m for m, _ in case.post) or math.inf
+        chance = math.fsum(m * law.survival(case.delta) for m, law in case.post) / mass
+        draws.append(_pooled(rng, _attempts, case, _FAILED + restart, chance))
+    draws += [None] * (_FAILED - 2) + draws
+    done = np.arange(_FAILED + 2) == _DONE
+    hours, (credits, failed) = _runs(
         draws, c.replications, done, done, GUARD_HORIZON,
         lambda size: (np.zeros(size), (rng.random(size) >= w.b1).astype(np.int8)),
+        lambda hours, credits, visits: (credits, visits[0] + visits[1]),
     )
-    return _estimate("completion", hours, int(np.count_nonzero(hours >= GUARD_HORIZON)))
+    truncated = int(np.count_nonzero(hours >= GUARD_HORIZON))
+    # a replication not censored ends at one drawn completion, credited 1
+    per = None if truncated else np.add(credits, 1.0, out=credits)
+    return _estimate("completion", hours, truncated, int(failed.sum()), per=per)

@@ -134,6 +134,10 @@ def test_estimate_reports_failures_and_relative_half_width():
     est = simulate_availability(p, SimConfig(replications=50, seed=3, horizon=2e4))
     assert est.failures > 0
     assert est.rel_half_width == (est.ci_high - est.ci_low) / (2.0 * (1.0 - est.mean))
+    w = WorkloadSpec(x=590.6201, r1=0.566316)
+    assert simulate_completion(p, w, SimConfig(replications=50, seed=3)).failures > 0
+    never = make_params(failure=NEVER)
+    assert simulate_completion(never, w, SimConfig(replications=50, seed=3)).failures == 0
 
 
 def test_availability_without_a_counted_cycle_is_refused():
@@ -486,6 +490,18 @@ def test_mttf_ci_coverage():
     assert 930 <= hits <= 970
 
 
+def test_completion_ci_coverage():
+    # the same check for the completion ratio of hours to completion credits
+    p = make_params()
+    w = WorkloadSpec(x=590.6201, r1=0.566316)
+    truth = completion_time(p, w, method="analytic")
+    hits = 0
+    for run in range(1000):
+        est = simulate_completion(p, w, SimConfig(replications=200, seed=707_000 + run))
+        hits += est.ci_low <= truth <= est.ci_high
+    assert 930 <= hits <= 970
+
+
 def test_availability_has_no_start_transient():
     # Without a warm-up a replication starts in state 0, aged only after a
     # wait: a fixed window from time 0 would see too little downtime.  The
@@ -549,6 +565,63 @@ def test_completion_guard_horizon_truncation_reported(monkeypatch):
     est = simulate_completion(p, w, SimConfig(replications=4, seed=17))
     assert est.truncated == 4
     assert est.mean == 5000.0
+
+
+@pytest.mark.parametrize("b1", [1.0, 0.5])
+def test_completion_case_without_post_trigger_mass(b1):
+    # a backup that always fails before its trigger epoch (53 h) has no
+    # post-trigger mass: each of its attempts fails and restarts the primary
+    # case, whether or not the backup case is ever entered
+    p = make_params(fail_idle_backup=Deterministic(10.0))
+    w = WorkloadSpec(x=590.6201, r1=0.566316, b1=b1, b2=1.0 - b1)
+    assert sum(m for m, _ in completion_cases(p, w)[1].post) == 0.0
+    truth = completion_time(p, w, method="analytic")
+    est = simulate_completion(p, w, SimConfig(replications=2000, seed=3))
+    assert est.failures > 0
+    assert abs(est.mean - truth) <= 3.0 * (est.ci_high - est.ci_low) / 2.0
+
+
+def _attempt_args(monkeypatch, p, w):
+    """The (case, restart, chance) with which simulate_completion draws each case's
+    attempts."""
+    seen, pooled = [], sim._pooled
+    monkeypatch.setattr(sim, "GUARD_HORIZON", 5000.0)  # a walk that never completes stops
+    monkeypatch.setattr(
+        sim, "_pooled", lambda rng, draw, *args: seen.append(args) or pooled(rng, draw, *args)
+    )
+    simulate_completion(p, w, SimConfig(replications=2, seed=1))
+    return seen
+
+
+@pytest.mark.parametrize(
+    "failures",
+    [{}, dict(fail_fixing_primary=Exponential(0.01), fail_reboot_primary=Exponential(0.002))],
+)
+def test_completion_credits_average_to_the_outcomes(monkeypatch, failures):
+    # each attempt is credited its chance to complete given its pre-trigger
+    # draw: over 1e5 attempts, credits less outcomes sum to within 4 standard
+    # errors of 0, whether the three post-trigger branches draw one law or several
+    w = WorkloadSpec(x=590.6201, r1=0.566316)
+    (case, restart, chance), _ = _attempt_args(monkeypatch, make_params(**failures), w)
+    assert 0.0 < chance < 1.0
+    assert len({law for _, law in case.post}) == (3 if failures else 1)
+    _, _, excess, due = sim._attempts(case, restart, chance, np.random.default_rng(5), 100_000)
+    assert not due.any()
+    assert abs(excess.sum()) < 4.0 * excess.std(ddof=1) * math.sqrt(excess.size)
+
+
+@pytest.mark.parametrize("post", [1e4, 1.0])
+def test_completion_credit_of_point_mass_post_laws_is_the_outcome(monkeypatch, post):
+    # a point-mass post-trigger law completes every attempt that reaches it, or
+    # none: the credit given the pre-trigger draw is then the outcome itself
+    idle = Exponential(0.01)
+    p = make_params(failure=Deterministic(post), fail_idle_primary=idle, fail_idle_backup=idle)
+    w = WorkloadSpec(x=590.6201, r1=0.566316)
+    (case, restart, chance), _ = _attempt_args(monkeypatch, p, w)
+    assert chance == (1.0 if post > case.delta else 0.0)
+    _, nxt, excess, _ = sim._attempts(case, restart, chance, np.random.default_rng(5), 10_000)
+    assert np.array_equal(excess, np.zeros(10_000))
+    assert (nxt == sim._DONE).any() == (post > case.delta)
 
 
 @pytest.mark.parametrize("trigger", ["a1", "a4"])
