@@ -47,7 +47,7 @@ SWEEP_ARGS = ["--var", "trigger_interval", "--from", "0", "--to", "50", "--step"
               "--metrics", ",".join(METRICS)]
 UNITS = {
     "import": "s", "parse": "ms", "kernel": "ms", "sojourn": "ms", "stationary": "ms",
-    "visits": "ms", "completion": "ms", "sim_per_1k_reps": "s", "sim_s_1pct": "s", "sweep51": "s",
+    "completion": "ms", "sim_per_1k_reps": "s", "sim_s_1pct": "s", "sweep51": "s",
     "sweep51_refine": "s", "cli_<subcommand>": "s", "pytest_wall": "s", "src_lines": "lines",
 }
 
@@ -72,17 +72,16 @@ def layers():
 
     names = config.bundled_config_names()
     cfgs = {name: config.load_config(name) for name in names}
-    kernels = {name: model.transition_matrix(cfg.params) for name, cfg in cfgs.items()}
-    start = [1.0] + [0.0] * 9
     out = {
         "parse": per_config(config.load_config, names, number=10),
         "kernel": per_config(lambda n: model.transition_matrix(cfgs[n].params), names, cold),
         "sojourn": per_config(lambda n: model.sojourn_times(cfgs[n].params), names, cold),
-        "stationary": per_config(lambda n: numerics.dtmc_stationary(kernels[n]), names, number=100),
-        "visits": per_config(
-            lambda n: numerics.absorbing_visits(kernels[n][:10, :10], start), names, number=100
-        ),
+        "stationary": None,  # a tree without analysis._chains
     }
+    if hasattr(analysis, "_chains"):
+        # the engine's chain solve: one report's kernel and restart chain, stacked
+        chains = {n: analysis._chains(model.transition_matrix(cfgs[n].params)[None]) for n in names}
+        out["stationary"] = per_config(lambda n: numerics._stationary(chains[n]), names, number=100)
     with_workload = [name for name in names if cfgs[name].workload is not None]
     out["completion"] = {
         method: per_config(
@@ -124,7 +123,9 @@ def side_layers(src):
 
 
 def best_of(runs):
-    """Key-wise minimum of nested dicts of timings."""
+    """Key-wise minimum of nested dicts of timings; a key a tree cannot time is None."""
+    if runs[0] is None:
+        return None
     if isinstance(runs[0], dict):
         return {key: best_of([run[key] for run in runs]) for key in runs[0]}
     return min(runs)
@@ -186,7 +187,9 @@ def machine():
         "repeat": REPEAT,
         "process_runs": PROCESS_RUNS,
         "note": "in-process layers: best of `repeat`, with the numerics memos cleared "
-        "before each run; `sojourn` and `kernel` time the same kernel build; with a "
+        "before each run; `sojourn` and `kernel` time the same kernel build; `stationary` "
+        "times numerics._stationary on one report's stacked kernel and restart chain "
+        "(null for a tree without analysis._chains); with a "
         "baseline, each tree's layers are the best of `layer_rounds` alternating fresh "
         "interpreters; import and cli_*: median and quartiles of `process_runs` fresh "
         "processes per side",

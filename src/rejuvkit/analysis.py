@@ -154,11 +154,7 @@ def _reports(ps, ws=None) -> list[MetricsReport]:
     workloads ``ws``), from one batched model build and one stacked state
     reduction of the points' kernels and restart chains."""
     P, h = _kernel(ps)
-    # the restart chain: P with the failed states sent back to state 0
-    R = P.copy()
-    R[:, 10:] = 0.0
-    R[:, 10:, 0] = 1.0
-    v, r = np.split(_stationary(np.moveaxis(np.concatenate((P, R)), 0, -1)).T, 2)
+    v, r = np.split(_stationary(_chains(P)).T, 2)
     weighted = v * h
     pi = weighted / weighted.sum(axis=-1, keepdims=True)
     avail = 1.0 - pi[:, 10] - pi[:, 11]
@@ -184,6 +180,15 @@ def _reports(ps, ws=None) -> list[MetricsReport]:
         )
         for n, V in enumerate(visits)
     ]
+
+
+def _chains(P):
+    """The kernels ``P``, (n, 12, 12), and their restart chains (the failed
+    states lead back to state 0), stacked on the last axis for `_stationary`."""
+    R = P.copy()
+    R[:, 10:] = 0.0
+    R[:, 10:, 0] = 1.0
+    return np.moveaxis(np.concatenate((P, R)), 0, -1)
 
 
 def availability(p: ModelParams) -> float:

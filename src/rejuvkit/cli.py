@@ -9,8 +9,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .config import ConfigError, bundled_config_names, load_config
 from .model import STATES, TRIGGER_SIDES
 from .numerics import ReducibleChainError
@@ -18,7 +16,7 @@ from .simulator import SimConfig
 from .toolkit import SweepSpec, rows_to_csv, run_analyze, run_simulate, run_sweep, run_validate
 
 # quadrature, consistency and divergence errors are ArithmeticErrors
-_NUMERICAL_ERRORS = (ReducibleChainError, ArithmeticError, np.linalg.LinAlgError)
+_NUMERICAL_ERRORS = (ReducibleChainError, ArithmeticError)
 
 
 def _build_parser():

@@ -4,9 +4,10 @@ When every lifetime law is exponential, the triggers are given as
 exponential laws of equal mean, and the branch probabilities are
 degenerate (0 or 1), the semi-Markov model collapses to a plain
 12-state CTMC.  This module builds that chain's generator directly from
-the rates -- deliberately *not* reusing the kernel-integral machinery --
-so steady-state availability and first-passage MTTF can be compared
-against the semi-Markov solution.
+the rates -- deliberately *not* reusing the kernel-integral machinery or
+the engine's solver -- and solves it by its own subtraction-free state
+reduction (Grassmann, Taksar & Heyman 1985), so steady-state availability
+and first-passage MTTF can be compared against the semi-Markov solution.
 
 Interior branch probabilities thin the competing laws, which is not
 representable as a 12-state CTMC; :class:`CtmcNotApplicable` is raised
@@ -78,26 +79,30 @@ def generator(p: ModelParams) -> np.ndarray:
     return Q
 
 
+def _stationary(A: list) -> list:
+    """Stationary vector, v0 = 1, of the generator rows ``A`` (overwritten), off-diagonal only."""
+    for k in range(len(A) - 1, 0, -1):
+        row = [(j, y) for j, y in enumerate(A[k][:k]) if y]
+        pivot = sum(y for _, y in row)  # the outflow to the states that remain
+        for a in A[:k]:
+            if a[k]:
+                a[k] /= pivot
+                for j, y in row:
+                    a[j] += a[k] * y
+    v = [1.0]
+    for k in range(1, len(A)):
+        v.append(sum(x * a[k] for x, a in zip(v, A) if a[k]))
+    return v
+
+
 def availability_ctmc(p: ModelParams) -> float:
     """Steady-state probability of the up states from the generator."""
-    Q = generator(p)
-    n = Q.shape[0]
-    A = Q.T.copy()
-    A[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    pi = np.linalg.solve(A, b)
-    pi = np.clip(pi, 0.0, None)
-    pi /= pi.sum()
-    return 1.0 - pi[10] - pi[11]
+    v = _stationary(generator(p).tolist())
+    return 1.0 - (v[10] + v[11]) / sum(v)
 
 
 def mttf_ctmc(p: ModelParams) -> float:
-    """Mean first-passage time from state 0 into the failed states."""
-    Q = generator(p)
-    # repair arcs removed: failed states become absorbing
-    Q[10, :] = 0.0
-    Q[11, :] = 0.0
-    U = Q[:10, :10]
-    tau = np.linalg.solve(-U, np.ones(10))
-    return float(tau[0])
+    """Mean first-passage time from state 0 into the failed states: time up per
+    failure, v10 + v11, once the failed states return to state 0 at unit rate."""
+    v = _stationary(generator(p).tolist()[:10] + [[1.0] + [0.0] * 11 for _ in range(2)])
+    return sum(v[:10]) / (v[10] + v[11])

@@ -153,20 +153,10 @@ def _expm_triangular(M):
     """
     norm = np.abs(M).sum(axis=-2).max(axis=-1)
     counts = [math.ceil(math.log2(v / 2.0)) if v > 2.0 else -1 for v in norm.tolist()]
-    if any(a < b for a, b in zip(counts, counts[1:])):
-        order = sorted(range(len(counts)), key=counts.__getitem__, reverse=True)
-        return _squared(M[order], sorted(counts, reverse=True))[np.argsort(order)]
-    return _squared(M, counts)
-
-
-def _squared(M, counts):
-    """:func:`_expm_triangular` of a stack ordered by squaring ``counts``
-    (-1 for none), most first."""
-    if counts[0] == counts[-1]:  # one count: a scalar scale, none at all below 1
-        E = _taylor_step(M if counts[0] <= 0 else M * 0.5 ** counts[0])
-    else:
-        E = _taylor_step(M * np.array([0.5 ** max(c, 0) for c in counts])[:, None, None])
-    if counts[0] < 0:
+    order = sorted(range(len(counts)), key=counts.__getitem__, reverse=True)
+    M, counts = M[order], [counts[i] for i in order]
+    E = _taylor_step(M * np.array([0.5 ** max(c, 0) for c in counts])[:, None, None])
+    if counts[0] < 0:  # none squares, so the stable order is the identity
         return E
     scale = 0.5 ** np.arange(counts[0], -1, -1.0)[:, None, None]
     x = scale * M.diagonal(0, -2, -1)
@@ -181,14 +171,11 @@ def _squared(M, counts):
         squared = on  # the matrices that joined at an earlier pass
         while on < len(counts) and counts[on] >= counts[0] - t:
             on += 1
-        if squared == len(E):
-            E = E @ E
-        elif squared:
-            E[:squared] = E[:squared] @ E[:squared]
+        E[:squared] = E[:squared] @ E[:squared]
         flat = E.reshape(len(E), -1)[:on]
         flat[:, :: n + 1] = diagonal[t, :on]
         flat[:, 1 :: n + 1] = upper[t, :on]
-    return E
+    return E[np.argsort(order)]
 
 
 def _segment(d, lengths):
